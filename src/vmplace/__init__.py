@@ -13,7 +13,6 @@ from .automata import (
     init_bank,
     penalize,
     reward,
-    sample_placement,
     update_from_population,
 )
 from .baselines import (
@@ -26,7 +25,7 @@ from .baselines import (
     solve_pso,
 )
 from .bench import RunRecord, RunReport, SweepConfig, derive_seed, run_pop_sweep, run_sweep
-from .cuckoo import Nest, ParetoArchive, SolveResult, SolverConfig, decode, levy_step, repair, solve
+from .cuckoo import Nest, ParetoArchive, SolveResult, SolverConfig, decode, repair, solve
 from .instance import (
     GeneratorConfig,
     GeneratorError,

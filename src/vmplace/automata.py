@@ -6,15 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Placement
-
 __all__ = [
     "Automaton",
     "AutomatonBank",
     "init_bank",
     "reward",
     "penalize",
-    "sample_placement",
     "sample_assignments",
     "update_from_population",
 ]
@@ -47,19 +44,25 @@ class Automaton:
 
 @dataclass(frozen=True)
 class AutomatonBank:
-    """One automaton per VM; all share the same m-server action set."""
+    """One automaton per VM, stored as the rows of an (n, m) probability matrix.
 
-    automata: tuple[Automaton, ...]
+    All automata share the same m-server action set.
+    """
+
+    probs: np.ndarray
     reward_a: float = 0.5
     penalty_b: float = 0.05
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "automata", tuple(self.automata))
-        if not self.automata:
-            raise ValueError("bank needs at least one automaton")
-        m = self.automata[0].m
-        if any(auto.m != m for auto in self.automata):
-            raise ValueError("all automata must share one action set size")
+        probs = np.asarray(self.probs, dtype=np.float64)
+        object.__setattr__(self, "probs", probs)
+        if probs.ndim != 2 or probs.size == 0:
+            raise ValueError("probs must be a non-empty (n, m) matrix")
+        if probs.min() < 0.0:
+            raise ValueError("probabilities must be non-negative")
+        if np.abs(probs.sum(axis=1) - 1.0).max() > _SIMPLEX_TOL:
+            raise ValueError("every row of probabilities must sum to 1")
+        probs.flags.writeable = False
         if not 0.0 < self.reward_a < 1.0:
             raise ValueError("reward_a must lie in (0, 1)")
         if not 0.0 <= self.penalty_b < 1.0:
@@ -67,27 +70,23 @@ class AutomatonBank:
 
     @property
     def n(self) -> int:
-        return len(self.automata)
+        return self.probs.shape[0]
 
     @property
     def m(self) -> int:
-        return self.automata[0].m
+        return self.probs.shape[1]
 
-    def to_jsonable(self) -> dict:
-        """Plain-dict dump of the bank state for debugging."""
-        return {
-            "reward_a": self.reward_a,
-            "penalty_b": self.penalty_b,
-            "probs": [auto.probs.tolist() for auto in self.automata],
-        }
+    @property
+    def automata(self) -> tuple[Automaton, ...]:
+        """The rows as one-automaton objects."""
+        return tuple(Automaton(row) for row in self.probs)
 
 
 def init_bank(n: int, m: int, reward_a: float = 0.5, penalty_b: float = 0.05) -> AutomatonBank:
     """Bank of n automata, each uniform over m actions."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 automata and m >= 1 actions")
-    uniform = np.full(m, 1.0 / m)
-    return AutomatonBank(tuple(Automaton(uniform.copy()) for _ in range(n)), reward_a, penalty_b)
+    return AutomatonBank(np.full((n, m), 1.0 / m), reward_a, penalty_b)
 
 
 def _renormalized(q: np.ndarray) -> Automaton:
@@ -95,6 +94,12 @@ def _renormalized(q: np.ndarray) -> Automaton:
     if abs(total - 1.0) > _RENORM_TOL:
         q = q / total
     return Automaton(q)
+
+
+def _renormalized_rows(q: np.ndarray) -> np.ndarray:
+    """Row-wise ``_renormalized``, in place: rows whose sum drifted are divided by it."""
+    total = q.sum(axis=1, keepdims=True)
+    return np.divide(q, total, out=q, where=np.abs(total - 1.0) > _RENORM_TOL)
 
 
 def _check_action(action: int, m: int) -> int:
@@ -128,26 +133,35 @@ def penalize(auto: Automaton, action: int, b: float) -> Automaton:
 
 def sample_assignments(bank: AutomatonBank, k: int, rng: np.random.Generator) -> np.ndarray:
     """k placements drawn from the bank as a (k, n) array of 0-based server indices."""
-    matrix = np.stack([auto.probs for auto in bank.automata])
-    cum = np.cumsum(matrix, axis=1)
+    cum = np.cumsum(bank.probs, axis=1)
     u = rng.random((k, bank.n))
     idx = (cum[None, :, :] <= u[:, :, None]).sum(axis=2)
     return np.minimum(idx, bank.m - 1)
 
 
-def sample_placement(bank: AutomatonBank, rng: np.random.Generator) -> Placement:
-    """One placement drawn action-by-action from the bank's current probabilities."""
-    row = sample_assignments(bank, 1, rng)[0]
-    return Placement(tuple(int(v) + 1 for v in row))
-
-
-def update_from_population(bank: AutomatonBank, best: Placement, worst: Placement) -> AutomatonBank:
-    """Reward each VM's server in ``best``, then penalize its server in ``worst``."""
-    if len(best) != bank.n or len(worst) != bank.n:
+def _checked_row(row, bank: AutomatonBank) -> np.ndarray:
+    row = np.asarray(row)
+    if row.shape != (bank.n,):
         raise ValueError("placement length must match bank size")
-    automata = []
-    for auto, good, bad in zip(bank.automata, best.assign, worst.assign):
-        updated = reward(auto, good, bank.reward_a)
-        updated = penalize(updated, bad, bank.penalty_b)
-        automata.append(updated)
-    return AutomatonBank(tuple(automata), bank.reward_a, bank.penalty_b)
+    if row.min() < 0 or row.max() >= bank.m:
+        raise IndexError(f"server index out of range 0..{bank.m - 1}")
+    return row
+
+
+def update_from_population(bank: AutomatonBank, best_row, worst_row) -> AutomatonBank:
+    """Reward each VM's server in ``best_row``, then penalize its server in ``worst_row``.
+
+    Rows hold 0-based server indices, one per VM, as ``sample_assignments``
+    returns them.  Row by row this is ``reward`` then ``penalize``, bit for bit.
+    """
+    best = _checked_row(best_row, bank)
+    worst = _checked_row(worst_row, bank)
+    a, b, vms = bank.reward_a, bank.penalty_b, np.arange(bank.n)
+    q = bank.probs * (1.0 - a)
+    q[vms, best] += a
+    p = _renormalized_rows(q)
+    if bank.m > 1:
+        q = p * (1.0 - b) + b / (bank.m - 1)
+        q[vms, worst] = (1.0 - b) * p[vms, worst]
+        p = _renormalized_rows(q)
+    return AutomatonBank(p, a, b)

@@ -2,32 +2,17 @@
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
 
-from .cuckoo import (
-    Nest,
-    ParetoArchive,
-    SolveResult,
-    _BestTracker,
-    _decode0,
-    _evaluate_rows,
-    _single_server_result,
-)
+# _evaluate_rows is not called here: the solvers evaluate through _Run.  The
+# name stays bound because perfbench/tracing.py patches it in this module.
+from .cuckoo import ParetoArchive, SolveResult, _Batch, _evaluate_rows, _offer_batch, _Run  # noqa: F401
 from .instance import Placement, PlacementProblem
-from .objectives import (
-    BatchObjectives,
-    ObjectiveVector,
-    ScalarWeights,
-    batch_loads,
-    batch_objectives,
-    batch_scalarize,
-)
+from .objectives import ObjectiveVector, ScalarWeights, batch_loads, batch_objectives, batch_scalarize
 
 __all__ = [
     "GaConfig",
@@ -94,33 +79,6 @@ class PsoConfig:
             raise ValueError("archive_cap must be at least 1")
 
 
-def _offer_all(
-    archive: ParetoArchive,
-    X: np.ndarray,
-    rows: np.ndarray,
-    objs: BatchObjectives,
-    scalars: np.ndarray,
-) -> None:
-    cand = np.stack((objs.utilization, objs.load_balance, objs.active_fraction), axis=1)
-    rejected = archive.rejects(cand, objs.feasible)
-    for i in np.flatnonzero(~rejected):
-        vector = ObjectiveVector(
-            float(objs.utilization[i]),
-            float(objs.load_balance[i]),
-            float(objs.active_fraction[i]),
-            bool(objs.feasible[i]),
-        )
-        archive.offer(X[i], rows[i], vector, float(scalars[i]))
-
-
-def _emit_trace(trace: TextIO | None, cycle: int, tracker: _BestTracker, archive: ParetoArchive) -> None:
-    if trace is not None:
-        trace.write(
-            json.dumps({"cycle": cycle, "best_scalar": tracker.scalar, "archive_size": len(archive)})
-            + "\n"
-        )
-
-
 def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None = None) -> SolveResult:
     """Generational GA over repaired assignments; deterministic for a fixed seed.
 
@@ -128,30 +86,20 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
     are inherited.  Each generation produces one child per tournament pair
     plus a single elite copy of the best individual.
     """
-    t0 = time.perf_counter()
+    run = _Run(problem, config, trace)
     m, n = problem.m, problem.n
     if m == 1:
-        return _single_server_result(problem, config.weights, t0)
+        return run.single_server()
 
     rng = np.random.default_rng(config.seed)
     pop = config.pop_size
-    weights = config.weights
-    archive = ParetoArchive(config.archive_cap)
-    tracker = _BestTracker()
+    population = run.evaluate(rng.integers(0, m, (pop, n)) + 1.0)
+    run.record(population)
 
-    repair_cache: dict = {}
-    rows = rng.integers(0, m, (pop, n))
-    objs, scalars, _ = _evaluate_rows(problem, rows, weights, repair_cache)
-    X = (rows + 1).astype(np.float64)
-    tracker.update(X, rows, objs, scalars)
-    _offer_all(archive, X, rows, objs, scalars)
-
-    history: list[float] = []
     cols = np.arange(n)
-    for generation in range(config.generations):
+    for generation in range(1, config.generations + 1):
+        rows, scalars = population.rows, population.scalars
         elite = int(np.argmin(scalars))
-        elite_row = rows[elite].copy()
-
         tours = rng.integers(0, pop, (pop - 1, 4))
         first = np.where(scalars[tours[:, 0]] <= scalars[tours[:, 1]], tours[:, 0], tours[:, 1])
         second = np.where(scalars[tours[:, 2]] <= scalars[tours[:, 3]], tours[:, 2], tours[:, 3])
@@ -165,113 +113,58 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
         resets = rng.integers(0, m, (pop - 1, n))
         children[mutate] = resets[mutate]
 
-        child_objs, child_scalars, _ = _evaluate_rows(problem, children, weights, repair_cache)
-
-        rows = np.vstack([elite_row[None, :], children])
-        elite_objs = (objs.utilization[elite], objs.load_balance[elite],
-                      objs.active_fraction[elite], objs.feasible[elite])
-        objs = BatchObjectives(
-            np.concatenate([[elite_objs[0]], child_objs.utilization]),
-            np.concatenate([[elite_objs[1]], child_objs.load_balance]),
-            np.concatenate([[elite_objs[2]], child_objs.active_fraction]),
-            np.concatenate([[elite_objs[3]], child_objs.feasible]),
+        offspring = run.evaluate(children + 1.0)
+        population = _Batch(
+            *(np.concatenate((col[elite : elite + 1], new)) for col, new in zip(population, offspring))
         )
-        scalars = np.concatenate([[scalars[elite]], child_scalars])
-        X = (rows + 1).astype(np.float64)
+        run.record(population, generation)
 
-        tracker.update(X, rows, objs, scalars)
-        _offer_all(archive, X, rows, objs, scalars)
-        history.append(tracker.scalar)
-        _emit_trace(trace, generation + 1, tracker, archive)
-
-    return SolveResult(
-        best=tracker.best_nest(),
-        archive=archive.nests(),
-        history=tuple(history),
-        wall_time=time.perf_counter() - t0,
-        cycles_run=config.generations,
-    )
+    return run.result(config.generations)
 
 
-def solve_pso(
-    problem: PlacementProblem,
-    config: PsoConfig,
-    trace: TextIO | None = None,
-    initial_positions: np.ndarray | None = None,
-) -> SolveResult:
+def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None = None) -> SolveResult:
     """Global-best PSO over continuous positions; deterministic for a fixed seed.
 
     Velocities start at zero.  A particle's best position snaps repaired
     coordinates onto their repaired server index, so recorded attractors
     always decode to the placement that earned their score.
     """
-    t0 = time.perf_counter()
+    run = _Run(problem, config, trace)
     m, n = problem.m, problem.n
     if m == 1:
-        return _single_server_result(problem, config.weights, t0)
+        return run.single_server()
 
     rng = np.random.default_rng(config.seed)
     pop = config.pop_size
-    weights = config.weights
     v_max = config.v_max if config.v_max is not None else 0.5 * (m - 1)
-    archive = ParetoArchive(config.archive_cap)
-    tracker = _BestTracker()
-
-    if initial_positions is not None:
-        X = np.array(initial_positions, dtype=np.float64)
-        if X.shape != (pop, n):
-            raise ValueError(f"initial_positions must have shape {(pop, n)}")
-        X = np.clip(X, 1.0, float(m))
-    else:
-        X = rng.uniform(1.0, float(m), (pop, n))
+    X = rng.uniform(1.0, float(m), (pop, n))
     V = np.zeros((pop, n))
 
-    repair_cache: dict = {}
+    swarm = run.evaluate(X)
+    run.record(swarm)
+    pbest_X = swarm.positions.copy()
+    pbest_scalars = swarm.scalars.copy()
+    gbest = swarm.positions[int(np.argmin(swarm.scalars))].copy()
+    gbest_scalar = float(swarm.scalars.min())
 
-    def evaluated(positions: np.ndarray):
-        rows = _decode0(positions, m)
-        before = rows.copy()
-        objs, scalars, _ = _evaluate_rows(problem, rows, weights, repair_cache)
-        snapped = np.where(rows != before, rows + 1.0, positions)
-        return rows, objs, scalars, snapped
-
-    rows, objs, scalars, snapped = evaluated(X)
-    pbest_X = snapped.copy()
-    pbest_scalars = scalars.copy()
-    tracker.update(snapped, rows, objs, scalars)
-    _offer_all(archive, snapped, rows, objs, scalars)
-    gbest = snapped[int(np.argmin(scalars))].copy()
-    gbest_scalar = float(scalars.min())
-
-    history: list[float] = []
-    for iteration in range(config.iterations):
+    for iteration in range(1, config.iterations + 1):
         r1 = rng.random((pop, n))
         r2 = rng.random((pop, n))
         V = config.inertia * V + config.c1 * r1 * (pbest_X - X) + config.c2 * r2 * (gbest - X)
         np.clip(V, -v_max, v_max, out=V)
         X = np.clip(X + V, 1.0, float(m))
 
-        rows, objs, scalars, snapped = evaluated(X)
-        improved = scalars < pbest_scalars
-        pbest_X[improved] = snapped[improved]
-        pbest_scalars[improved] = scalars[improved]
+        swarm = run.evaluate(X)
+        improved = swarm.scalars < pbest_scalars
+        pbest_X[improved] = swarm.positions[improved]
+        pbest_scalars[improved] = swarm.scalars[improved]
         i = int(np.argmin(pbest_scalars))
         if pbest_scalars[i] < gbest_scalar:
             gbest = pbest_X[i].copy()
             gbest_scalar = float(pbest_scalars[i])
+        run.record(swarm, iteration)
 
-        tracker.update(snapped, rows, objs, scalars)
-        _offer_all(archive, snapped, rows, objs, scalars)
-        history.append(tracker.scalar)
-        _emit_trace(trace, iteration + 1, tracker, archive)
-
-    return SolveResult(
-        best=tracker.best_nest(),
-        archive=archive.nests(),
-        history=tuple(history),
-        wall_time=time.perf_counter() - t0,
-        cycles_run=config.iterations,
-    )
+    return run.result(config.iterations)
 
 
 def solve_ffd(problem: PlacementProblem) -> Placement:
@@ -336,48 +229,16 @@ def brute_force(problem: PlacementProblem, weights: ScalarWeights | None = None)
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         rows = (ids[:, None] // radix) % m
         objs = batch_objectives(problem, *batch_loads(problem, rows))
-        scalars = batch_scalarize(objs, weights)
-        i = int(np.argmin(scalars))
-        if scalars[i] < best_scalar:
-            best_scalar = float(scalars[i])
+        batch = _Batch(rows + 1.0, rows, *objs, batch_scalarize(objs, weights))
+        i = int(np.argmin(batch.scalars))
+        if batch.scalars[i] < best_scalar:
+            best_scalar = float(batch.scalars[i])
             best_row = rows[i].copy()
-            best_vector = ObjectiveVector(
-                float(objs.utilization[i]),
-                float(objs.load_balance[i]),
-                float(objs.active_fraction[i]),
-                bool(objs.feasible[i]),
-            )
-        for i in _pareto_candidates(archive, objs):
-            vector = ObjectiveVector(
-                float(objs.utilization[i]),
-                float(objs.load_balance[i]),
-                float(objs.active_fraction[i]),
-                bool(objs.feasible[i]),
-            )
-            archive.offer((rows[i] + 1).astype(np.float64), rows[i], vector, float(scalars[i]))
+            best_vector = batch.vector(i)
+        # Uncapped, so the archive never thins and rejection only grows: the
+        # rows rejected up front are exactly those offering would refuse.
+        _offer_batch(archive, batch)
 
     pareto = tuple((nest.decoded, nest.objectives) for nest in archive.nests())
     best = Placement(tuple(int(v) + 1 for v in best_row))
     return BruteForceResult(best, best_vector, best_scalar, pareto)
-
-
-def _pareto_candidates(archive: ParetoArchive, objs: BatchObjectives) -> np.ndarray:
-    """Indices of batch rows not already dominated by the current archive."""
-    if not len(archive):
-        return np.arange(objs.utilization.size)
-    mat = archive._obj_matrix()
-    feas_col = np.asarray(archive._feas)
-    u, lb, af = objs.utilization, objs.load_balance, objs.active_fraction
-    same_class = feas_col[:, None] == objs.feasible[None, :]
-    ge = (
-        (mat[:, 0:1] >= u[None, :])
-        & (mat[:, 1:2] <= lb[None, :])
-        & (mat[:, 2:3] <= af[None, :])
-    )
-    eq = (
-        (mat[:, 0:1] == u[None, :])
-        & (mat[:, 1:2] == lb[None, :])
-        & (mat[:, 2:3] == af[None, :])
-    )
-    beaten = (feas_col[:, None] & ~objs.feasible[None, :]) | (same_class & ge & ~eq)
-    return np.flatnonzero(~beaten.any(axis=0))

@@ -8,21 +8,25 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
 from .baselines import GaConfig, PsoConfig, solve_ffd, solve_ga, solve_pso
-from .cuckoo import SolverConfig, solve
+from .cuckoo import SolveResult, SolverConfig, solve
 from .instance import GeneratorConfig, Placement, PlacementProblem, generate_instance, _write_json
 from .objectives import ScalarWeights, eval_resource_waste, evaluate, server_loads
 
 __all__ = [
     "ALGORITHMS",
+    "ALGORITHM_TABLE",
     "RAW_COLUMNS",
     "RunReport",
     "RunRecord",
     "SweepConfig",
     "derive_seed",
+    "make_config",
+    "run_algorithm",
     "run_single",
     "run_sweep",
     "run_pop_sweep",
@@ -34,7 +38,23 @@ __all__ = [
     "write_metadata",
 ]
 
-ALGORITHMS = ("lamocs", "ga", "pso", "ffd")
+
+class AlgorithmEntry(NamedTuple):
+    """How to run one algorithm: its solve function, config class and cycle-count field."""
+
+    solve: Callable
+    config: type | None
+    cycles_field: str | None
+
+
+# FFD is deterministic and population-free: it takes the problem alone.
+ALGORITHM_TABLE = {
+    "lamocs": AlgorithmEntry(solve, SolverConfig, "max_cycles"),
+    "ga": AlgorithmEntry(solve_ga, GaConfig, "generations"),
+    "pso": AlgorithmEntry(solve_pso, PsoConfig, "iterations"),
+    "ffd": AlgorithmEntry(solve_ffd, None, None),
+}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 RAW_COLUMNS = (
     "algorithm",
@@ -146,28 +166,31 @@ def _instance_for(cfg: SweepConfig, vm_count: int, rep: int) -> tuple[PlacementP
     return problem, instance_seed
 
 
-def _dispatch(
-    problem: PlacementProblem,
-    algorithm: str,
-    seed: int,
-    pop_size: int,
-    cycles: int,
-    weights: ScalarWeights,
-) -> tuple[Placement, float]:
-    if algorithm == "lamocs":
-        result = solve(problem, SolverConfig(pop_size=pop_size, max_cycles=cycles, seed=seed, weights=weights))
-        return result.best.decoded, result.wall_time
-    if algorithm == "ga":
-        result = solve_ga(problem, GaConfig(pop_size=pop_size, generations=cycles, seed=seed, weights=weights))
-        return result.best.decoded, result.wall_time
-    if algorithm == "pso":
-        result = solve_pso(problem, PsoConfig(pop_size=pop_size, iterations=cycles, seed=seed, weights=weights))
-        return result.best.decoded, result.wall_time
-    if algorithm == "ffd":
+def make_config(algorithm: str, cycles: int, **fields):
+    """The algorithm's config with ``cycles`` in its own cycle-count field; None for ffd.
+
+    ``fields`` are further config fields; ffd ignores them.  Raises ValueError
+    for an unknown algorithm or a value its config rejects.
+    """
+    if algorithm not in ALGORITHM_TABLE:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    entry = ALGORITHM_TABLE[algorithm]
+    if entry.config is None:
+        return None
+    return entry.config(**{entry.cycles_field: cycles}, **fields)
+
+
+def run_algorithm(
+    problem: PlacementProblem, algorithm: str, config, trace: TextIO | None = None
+) -> tuple[Placement, SolveResult | None, float]:
+    """Run with a config from ``make_config``: best placement, full result (None for ffd), wall seconds."""
+    solver = ALGORITHM_TABLE[algorithm].solve
+    if config is None:
         t0 = time.perf_counter()
-        placement = solve_ffd(problem)
-        return placement, time.perf_counter() - t0
-    raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+        placement = solver(problem)
+        return placement, None, time.perf_counter() - t0
+    result = solver(problem, config, trace)
+    return result.best.decoded, result, result.wall_time
 
 
 def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int, pop_size: int | None = None) -> RunRecord:
@@ -175,7 +198,8 @@ def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int, pop_si
     pop = cfg.pop_size if pop_size is None else pop_size
     problem, instance_seed = _instance_for(cfg, vm_count, rep)
     solver_seed = derive_seed(cfg.base_seed, vm_count, algorithm, rep)
-    placement, wall = _dispatch(problem, algorithm, solver_seed, pop, cfg.cycles, cfg.weights)
+    config = make_config(algorithm, cfg.cycles, pop_size=pop, seed=solver_seed, weights=cfg.weights)
+    placement, _, wall = run_algorithm(problem, algorithm, config)
     objs = evaluate(problem, placement)
     loads = server_loads(problem, placement)
     report = RunReport(
@@ -191,7 +215,7 @@ def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int, pop_si
         feasible=objs.feasible,
         wall_time_ms=wall * 1000.0,
     )
-    return RunRecord(report, placement, instance_seed, 0 if algorithm == "ffd" else pop)
+    return RunRecord(report, placement, instance_seed, 0 if config is None else pop)
 
 
 def _run_cell(args: tuple) -> RunRecord:

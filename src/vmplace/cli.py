@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
 
 from . import bench
-from .baselines import BRUTE_FORCE_LIMIT, GaConfig, PsoConfig, brute_force, solve_ffd, solve_ga, solve_pso
-from .cuckoo import SolverConfig, solve
+from .baselines import BRUTE_FORCE_LIMIT, brute_force
 from .instance import (
     GeneratorConfig,
     GeneratorError,
@@ -86,64 +85,48 @@ def cmd_solve(args: argparse.Namespace) -> int:
         problem = read_instance(args.instance)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read instance: {exc}", EXIT_BAD_INPUT)
+    fields = {"pop_size": args.pop, "seed": args.seed}
+    if args.algorithm == "lamocs":
+        fields.update(
+            p_a=args.pa,
+            levy_scale=args.levy_scale,
+            la_fraction=args.la_fraction,
+            reward_a=args.reward_a,
+            penalty_b=args.penalty_b,
+        )
     try:
-        weights = _weights_from(args)
+        config = bench.make_config(args.algorithm, args.cycles, weights=_weights_from(args), **fields)
     except ValueError as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
 
-    trace_handle = open(args.trace, "w") if args.trace else None
-    try:
-        if args.algorithm == "ffd":
-            t0 = time.perf_counter()
-            placement = solve_ffd(problem)
-            wall, cycles, archive_size, scalar = time.perf_counter() - t0, 0, 0, None
-        else:
-            try:
-                if args.algorithm == "lamocs":
-                    config = SolverConfig(
-                        pop_size=args.pop,
-                        max_cycles=args.cycles,
-                        p_a=args.pa,
-                        levy_scale=args.levy_scale,
-                        seed=args.seed,
-                        weights=weights,
-                        la_fraction=args.la_fraction,
-                        reward_a=args.reward_a,
-                        penalty_b=args.penalty_b,
-                    )
-                    result = solve(problem, config, trace=trace_handle)
-                elif args.algorithm == "ga":
-                    config = GaConfig(pop_size=args.pop, generations=args.cycles, seed=args.seed, weights=weights)
-                    result = solve_ga(problem, config, trace=trace_handle)
-                else:
-                    config = PsoConfig(pop_size=args.pop, iterations=args.cycles, seed=args.seed, weights=weights)
-                    result = solve_pso(problem, config, trace=trace_handle)
-            except ValueError as exc:
-                return _fail(str(exc), EXIT_BAD_INPUT)
-            placement = result.best.decoded
-            wall, cycles, archive_size = result.wall_time, result.cycles_run, len(result.archive)
-            scalar = result.best.scalar
-    finally:
-        if trace_handle is not None:
-            trace_handle.close()
+    with ExitStack() as outputs:
+        try:
+            trace = outputs.enter_context(open(args.trace, "w")) if args.trace else None
+            out = outputs.enter_context(open(args.out, "w")) if args.out else None
+        except OSError as exc:
+            return _fail(f"cannot open output: {exc}", EXIT_BAD_INPUT)
+        try:
+            placement, result, wall = bench.run_algorithm(problem, args.algorithm, config, trace)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_BAD_INPUT)
 
-    objs = evaluate(problem, placement)
-    loads = server_loads(problem, placement)
-    report = {
-        "algorithm": args.algorithm,
-        "feasible": objs.feasible,
-        "utilization": objs.utilization,
-        "load_balance": objs.load_balance,
-        "active_servers": sum(load.active for load in loads),
-        "resource_waste": eval_resource_waste(loads),
-        "scalar": scalar,
-        "cycles": cycles,
-        "archive_size": archive_size,
-        "wall_time_ms": wall * 1000.0,
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if args.out:
-        write_placement(placement, args.out)
+        objs = evaluate(problem, placement)
+        loads = server_loads(problem, placement)
+        report = {
+            "algorithm": args.algorithm,
+            "feasible": objs.feasible,
+            "utilization": objs.utilization,
+            "load_balance": objs.load_balance,
+            "active_servers": sum(load.active for load in loads),
+            "resource_waste": eval_resource_waste(loads),
+            "scalar": None if result is None else result.best.scalar,
+            "cycles": 0 if result is None else result.cycles_run,
+            "archive_size": 0 if result is None else len(result.archive),
+            "wall_time_ms": wall * 1000.0,
+        }
+        print(json.dumps(report, indent=2, sort_keys=True))
+        if out is not None:
+            write_placement(placement, out)
     return EXIT_OK if objs.feasible else EXIT_INFEASIBLE
 
 
@@ -167,24 +150,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
     raw_path = Path(args.raw_out) if args.raw_out else out.with_name(f"{out.stem}.raw{out.suffix}")
     meta_path = out.with_name(f"{out.stem}.meta.json")
 
-    if args.pop_sweep:
-        records = bench.run_pop_sweep(cfg, tuple(args.pop_sizes), vm_count=args.pop_sweep_vms)
-        rows = bench.aggregate(records, by="pop")
-        include_pop = True
-        extra = {"mode": "pop_sweep", "pop_sizes": list(args.pop_sizes), "pop_sweep_vms": args.pop_sweep_vms}
-    else:
-        records = bench.run_sweep(cfg)
-        rows = bench.aggregate(records, by="n")
-        include_pop = False
-        extra = {"mode": "sweep"}
+    try:
+        if args.pop_sweep:
+            records = bench.run_pop_sweep(cfg, tuple(args.pop_sizes), vm_count=args.pop_sweep_vms)
+            rows = bench.aggregate(records, by="pop")
+            extra = {"mode": "pop_sweep", "pop_sizes": list(args.pop_sizes), "pop_sweep_vms": args.pop_sweep_vms}
+        else:
+            records = bench.run_sweep(cfg)
+            rows = bench.aggregate(records, by="n")
+            extra = {"mode": "sweep"}
+    except GeneratorError as exc:
+        return _fail(str(exc), EXIT_FAILURE)
 
-    if args.format == "json":
-        bench.write_raw_json(records, raw_path, include_pop=include_pop)
-        bench.write_aggregate_json(rows, out)
-    else:
-        bench.write_raw_csv(records, raw_path, include_pop=include_pop)
-        bench.write_aggregate_csv(rows, out)
-    bench.write_metadata(cfg, meta_path, extra=extra)
+    try:
+        for path in (out, raw_path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        if args.format == "json":
+            bench.write_raw_json(records, raw_path, include_pop=args.pop_sweep)
+            bench.write_aggregate_json(rows, out)
+        else:
+            bench.write_raw_csv(records, raw_path, include_pop=args.pop_sweep)
+            bench.write_aggregate_csv(rows, out)
+        bench.write_metadata(cfg, meta_path, extra=extra)
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}", EXIT_BAD_INPUT)
 
     print(f"wrote {raw_path} ({len(records)} runs)")
     print(f"wrote {out} ({len(rows)} cells)")
@@ -228,7 +217,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         compared += 1
         for algorithm in args.algorithms:
             seed = bench.derive_seed(args.seed, n, algorithm, attempts - 1)
-            placement, _ = bench._dispatch(problem, algorithm, seed, args.pop, args.cycles, weights)
+            try:
+                config = bench.make_config(algorithm, args.cycles, pop_size=args.pop, seed=seed, weights=weights)
+            except ValueError as exc:
+                return _fail(str(exc), EXIT_BAD_INPUT)
+            placement, _, _ = bench.run_algorithm(problem, algorithm, config)
             scalar = scalarize(evaluate(problem, placement), weights)
             if abs(scalar - oracle.scalar) <= args.tol:
                 matches[algorithm] += 1

@@ -6,11 +6,11 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .automata import init_bank, sample_assignments, update_from_population
+from .automata import AutomatonBank, init_bank, sample_assignments, update_from_population
 from .instance import Placement, PlacementProblem
 from .objectives import (
     BatchObjectives,
@@ -27,7 +27,6 @@ __all__ = [
     "SolveResult",
     "ParetoArchive",
     "decode",
-    "levy_step",
     "repair",
     "solve",
 ]
@@ -119,6 +118,7 @@ def _mantegna_sigma(beta: float) -> float:
 
 
 def _levy(rng: np.random.Generator, beta: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Heavy-tailed steps u / |v|^(1/beta) of ``shape``, with the stable-matching sigma for u."""
     if not 1.0 < beta <= 2.0:
         raise ValueError("levy beta must lie in (1, 2]")
     u = rng.normal(0.0, _mantegna_sigma(beta), shape)
@@ -126,17 +126,11 @@ def _levy(rng: np.random.Generator, beta: float, shape: tuple[int, ...]) -> np.n
     return u / np.abs(v) ** (1.0 / beta)
 
 
-def levy_step(rng: np.random.Generator, beta: float, dim: int) -> np.ndarray:
-    """Heavy-tailed step vector u / |v|^(1/beta) with the stable-matching sigma for u."""
-    return _levy(rng, beta, (int(dim),))
-
-
-def repair(problem: PlacementProblem, placement: Placement, rng=None) -> Placement:
+def repair(problem: PlacementProblem, placement: Placement) -> Placement:
     """Move VMs off overloaded servers onto the feasible server with most slack.
 
-    Deterministic (``rng`` is accepted for interface symmetry and unused).
-    Feasible input comes back unchanged; when some VM cannot be rehosted the
-    placement is returned as-is, still infeasible.
+    Deterministic.  Feasible input comes back unchanged; when some VM cannot
+    be rehosted the placement is returned as-is, still infeasible.
     """
     placement.validate_for(problem)
     a0 = np.asarray(placement.assign, dtype=np.int64) - 1
@@ -206,12 +200,12 @@ def _evaluate_rows(
     rows: np.ndarray,
     weights: ScalarWeights,
     cache: dict | None = None,
-) -> tuple[BatchObjectives, np.ndarray, np.ndarray]:
+) -> tuple[BatchObjectives, np.ndarray]:
     """Repair each row in place, then score the batch.
 
-    Returns the objective columns, the scalar column, and a per-row bool mask
-    of rows the repair modified.  Loads of modified rows are recomputed from
-    scratch so scores match a from-scratch evaluation bit for bit.
+    Returns the objective columns and the scalar column.  Loads of rows the
+    repair modified are recomputed from scratch so scores match a
+    from-scratch evaluation bit for bit.
 
     ``cache`` memoizes repair by row content; repair is a pure function of
     the row, so hits reproduce the miss path exactly.  Entries are ``None``
@@ -243,7 +237,7 @@ def _evaluate_rows(
         idx = np.flatnonzero(changed)
         cpu_used[idx], mem_used[idx], counts[idx] = batch_loads(problem, rows[idx])
     objs = batch_objectives(problem, cpu_used, mem_used, counts)
-    return objs, batch_scalarize(objs, weights), changed
+    return objs, batch_scalarize(objs, weights)
 
 
 class ParetoArchive:
@@ -349,53 +343,113 @@ class ParetoArchive:
         )
 
 
-class _BestTracker:
-    """Best-so-far snapshots by scalar, overall and feasible-only."""
+class _Batch(NamedTuple):
+    """Evaluated candidates: snapped positions, repaired 0-based rows, objective columns, scalars."""
 
-    def __init__(self) -> None:
+    positions: np.ndarray
+    rows: np.ndarray
+    utilization: np.ndarray
+    load_balance: np.ndarray
+    active_fraction: np.ndarray
+    feasible: np.ndarray
+    scalars: np.ndarray
+
+    def vector(self, i: int) -> ObjectiveVector:
+        return ObjectiveVector(
+            float(self.utilization[i]),
+            float(self.load_balance[i]),
+            float(self.active_fraction[i]),
+            bool(self.feasible[i]),
+        )
+
+    def entry(self, i: int) -> tuple:
+        """Copies of entry ``i``: position, row, objective vector and scalar."""
+        return self.positions[i].copy(), self.rows[i].copy(), self.vector(i), float(self.scalars[i])
+
+    def put(self, at, other: _Batch, idx) -> None:
+        """Overwrite entries ``at`` of every column with entries ``idx`` of ``other``."""
+        for dst, src in zip(self, other):
+            dst[at] = src[idx]
+
+
+def _offer_batch(archive: ParetoArchive, batch: _Batch) -> None:
+    """Offer, in row order, every entry the archive does not reject outright."""
+    cand = np.stack((batch.utilization, batch.load_balance, batch.active_fraction), axis=1)
+    for i in np.flatnonzero(~archive.rejects(cand, batch.feasible)):
+        archive.offer(batch.positions[i], batch.rows[i], batch.vector(i), float(batch.scalars[i]))
+
+
+class _Run:
+    """The bookkeeping every population solver shares around its move operator.
+
+    ``evaluate`` decodes, repairs and scores positions through one repair
+    cache; ``record`` tracks the best-so-far (feasible first), offers the
+    batch to the archive and, per cycle, logs the history and the trace row;
+    ``result`` assembles the ``SolveResult``.  ``config`` is any solver
+    config: only its ``weights`` and ``archive_cap`` are read.
+    """
+
+    def __init__(self, problem: PlacementProblem, config, trace: TextIO | None) -> None:
+        self.t0 = time.perf_counter()
+        self.problem = problem
+        self.weights = config.weights
+        self.trace = trace
+        self.archive = ParetoArchive(config.archive_cap)
+        self.cache: dict = {}
+        self.history: list[float] = []
         self.scalar = math.inf
-        self.snapshot: tuple | None = None
+        self.best: tuple | None = None
         self.feasible_scalar = math.inf
-        self.feasible_snapshot: tuple | None = None
+        self.feasible_best: tuple | None = None
 
-    def update(self, X: np.ndarray, rows: np.ndarray, objs: BatchObjectives, scalars: np.ndarray) -> None:
+    def evaluate(self, positions: np.ndarray) -> _Batch:
+        """Score ``positions``; coordinates the repair moved snap onto their new server."""
+        rows = _decode0(positions, self.problem.m)
+        before = rows.copy()
+        objs, scalars = _evaluate_rows(self.problem, rows, self.weights, self.cache)
+        return _Batch(np.where(rows != before, rows + 1.0, positions), rows, *objs, scalars)
+
+    def record(self, batch: _Batch, cycle: int = 0) -> None:
+        """Update the best-so-far and the archive; from cycle 1 on, log history and trace."""
+        scalars = batch.scalars
         i = int(np.argmin(scalars))
         if scalars[i] < self.scalar:
             self.scalar = float(scalars[i])
-            self.snapshot = self._snap(X, rows, objs, scalars, i)
-        feas = np.flatnonzero(objs.feasible)
+            self.best = batch.entry(i)
+        feas = np.flatnonzero(batch.feasible)
         if feas.size:
             i = int(feas[np.argmin(scalars[feas])])
             if scalars[i] < self.feasible_scalar:
                 self.feasible_scalar = float(scalars[i])
-                self.feasible_snapshot = self._snap(X, rows, objs, scalars, i)
+                self.feasible_best = batch.entry(i)
+        _offer_batch(self.archive, batch)
+        if cycle:
+            self.history.append(self.scalar)
+            if self.trace is not None:
+                row = {"cycle": cycle, "best_scalar": self.scalar, "archive_size": len(self.archive)}
+                self.trace.write(json.dumps(row) + "\n")
 
-    @staticmethod
-    def _snap(X, rows, objs, scalars, i) -> tuple:
-        vector = ObjectiveVector(
-            float(objs.utilization[i]),
-            float(objs.load_balance[i]),
-            float(objs.active_fraction[i]),
-            bool(objs.feasible[i]),
-        )
-        return (X[i].copy(), rows[i].copy(), vector, float(scalars[i]))
+    def result(self, cycles_run: int) -> SolveResult:
+        position, row, vector, scalar = self.feasible_best or self.best
+        best = Nest(position, Placement(tuple(int(v) + 1 for v in row)), vector, scalar)
+        wall = time.perf_counter() - self.t0
+        return SolveResult(best, self.archive.nests(), tuple(self.history), wall, cycles_run)
 
-    def best_nest(self) -> Nest:
-        position, row, vector, scalar = self.feasible_snapshot or self.snapshot
-        return Nest(position, Placement(tuple(int(v) + 1 for v in row)), vector, scalar)
+    def single_server(self) -> SolveResult:
+        """With one server every VM sits on it: score that placement and stop."""
+        self.record(self.evaluate(np.ones((1, self.problem.n))))
+        self.history.append(self.scalar)
+        return self.result(0)
 
 
-def _single_server_result(problem: PlacementProblem, weights: ScalarWeights, t0: float) -> SolveResult:
-    row = np.zeros(problem.n, dtype=np.int64)
-    objs, scalars, _ = _evaluate_rows(problem, row[None, :], weights)
-    vector = ObjectiveVector(
-        float(objs.utilization[0]),
-        float(objs.load_balance[0]),
-        float(objs.active_fraction[0]),
-        bool(objs.feasible[0]),
-    )
-    nest = Nest(np.ones(problem.n), Placement((1,) * problem.n), vector, float(scalars[0]))
-    return SolveResult(nest, (nest,), (nest.scalar,), time.perf_counter() - t0, 0)
+def _draw_positions(bank: AutomatonBank, rng: np.random.Generator, k: int, k_la: int) -> np.ndarray:
+    """k positions: the first ``k_la`` sampled from the bank, the rest uniform over [1, m]."""
+    X = np.empty((k, bank.n))
+    if k_la:
+        X[:k_la] = sample_assignments(bank, k_la, rng) + 1.0
+    if k_la < k:
+        X[k_la:] = rng.uniform(1.0, float(bank.m), (k - k_la, bank.n))
+    return X
 
 
 def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None = None) -> SolveResult:
@@ -408,63 +462,33 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
     cycle's scalar-best and scalar-worst placements, and offer the whole
     population to the non-dominated archive.
     """
-    t0 = time.perf_counter()
+    run = _Run(problem, config, trace)
     m, n = problem.m, problem.n
     if m == 1:
-        return _single_server_result(problem, config.weights, t0)
+        return run.single_server()
 
     rng = np.random.default_rng(config.seed)
     pop = config.pop_size
     scale = config.levy_scale if config.levy_scale is not None else 0.01 * (m - 1)
-    weights = config.weights
     bank = init_bank(n, m, config.reward_a, config.penalty_b)
-    archive = ParetoArchive(config.archive_cap)
-    tracker = _BestTracker()
+    la_initial = config.la_applies_to in ("initial_population", "both")
+    la_regenerated = config.la_applies_to in ("regenerated", "both")
 
-    X = np.empty((pop, n), dtype=np.float64)
-    seed_la = math.ceil(config.la_fraction * pop) if config.la_applies_to in ("initial_population", "both") else 0
-    if seed_la:
-        X[:seed_la] = sample_assignments(bank, seed_la, rng) + 1.0
-    if seed_la < pop:
-        X[seed_la:] = rng.uniform(1.0, float(m), (pop - seed_la, n))
+    seed_la = math.ceil(config.la_fraction * pop) if la_initial else 0
+    nests = run.evaluate(_draw_positions(bank, rng, pop, seed_la))
+    run.record(nests)
 
-    repair_cache: dict = {}
-    rows = _decode0(X, m)
-    before = rows.copy()
-    objs, scalars, _ = _evaluate_rows(problem, rows, weights, repair_cache)
-    X = np.where(rows != before, rows + 1.0, X)
-    util, lb, af, feas = (col.copy() for col in objs)
-    scalars = scalars.copy()
-
-    def offer_population() -> None:
-        rejected = archive.rejects(np.stack((util, lb, af), axis=1), feas)
-        for i in np.flatnonzero(~rejected):
-            archive.offer(X[i], rows[i], ObjectiveVector(util[i], lb[i], af[i], bool(feas[i])), scalars[i])
-
-    tracker.update(X, rows, BatchObjectives(util, lb, af, feas), scalars)
-    offer_population()
-
-    history: list[float] = []
-    for cycle in range(config.max_cycles):
+    for cycle in range(1, config.max_cycles + 1):
         # 1. Lévy proposals, each judged against a uniformly random nest.
-        gbest = X[int(np.argmin(scalars))].copy()
+        X = nests.positions
+        gbest = X[int(np.argmin(nests.scalars))].copy()
         steps = _levy(rng, config.levy_beta, (pop, n))
-        P = np.clip(X + scale * steps * (X - gbest), 1.0, float(m))
-        prop_rows = _decode0(P, m)
-        before = prop_rows.copy()
-        prop_objs, prop_scalars, _ = _evaluate_rows(problem, prop_rows, weights, repair_cache)
-        P = np.where(prop_rows != before, prop_rows + 1.0, P)
+        prop = run.evaluate(np.clip(X + scale * steps * (X - gbest), 1.0, float(m)))
         targets = rng.integers(0, pop, pop)
         for i in range(pop):
             j = targets[i]
-            if prop_scalars[i] < scalars[j]:
-                X[j] = P[i]
-                rows[j] = prop_rows[i]
-                util[j] = prop_objs.utilization[i]
-                lb[j] = prop_objs.load_balance[i]
-                af[j] = prop_objs.active_fraction[i]
-                feas[j] = prop_objs.feasible[i]
-                scalars[j] = prop_scalars[i]
+            if prop.scalars[i] < nests.scalars[j]:
+                nests.put(j, prop, i)
 
         # 2. Abandonment and regeneration.
         n_abandon = math.ceil(config.p_a * pop)
@@ -472,53 +496,16 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
             if config.abandon_strategy == "random":
                 doomed = rng.permutation(pop)[:n_abandon]
             else:
-                doomed = np.argsort(scalars, kind="stable")[-n_abandon:][::-1]
-            n_la = (
-                math.ceil(config.la_fraction * n_abandon)
-                if config.la_applies_to in ("regenerated", "both")
-                else 0
-            )
-            la_rows, uni_rows = doomed[:n_la], doomed[n_la:]
-            if la_rows.size:
-                X[la_rows] = sample_assignments(bank, la_rows.size, rng) + 1.0
-            if uni_rows.size:
-                X[uni_rows] = rng.uniform(1.0, float(m), (uni_rows.size, n))
-            fresh = _decode0(X[doomed], m)
-            before = fresh.copy()
-            new_objs, new_scalars, _ = _evaluate_rows(problem, fresh, weights, repair_cache)
-            X[doomed] = np.where(fresh != before, fresh + 1.0, X[doomed])
-            rows[doomed] = fresh
-            util[doomed] = new_objs.utilization
-            lb[doomed] = new_objs.load_balance
-            af[doomed] = new_objs.active_fraction
-            feas[doomed] = new_objs.feasible
-            scalars[doomed] = new_scalars
+                doomed = np.argsort(nests.scalars, kind="stable")[-n_abandon:][::-1]
+            n_la = math.ceil(config.la_fraction * n_abandon) if la_regenerated else 0
+            nests.put(doomed, run.evaluate(_draw_positions(bank, rng, n_abandon, n_la)), slice(None))
 
         # 3. Bank update from the cycle's scalar-best and scalar-worst placements.
-        best_i = int(np.argmin(scalars))
-        worst_i = int(np.argmax(scalars))
         bank = update_from_population(
-            bank,
-            Placement(tuple(int(v) + 1 for v in rows[best_i])),
-            Placement(tuple(int(v) + 1 for v in rows[worst_i])),
+            bank, nests.rows[int(np.argmin(nests.scalars))], nests.rows[int(np.argmax(nests.scalars))]
         )
 
         # 4. Archive and bookkeeping.
-        tracker.update(X, rows, BatchObjectives(util, lb, af, feas), scalars)
-        offer_population()
-        history.append(tracker.scalar)
-        if trace is not None:
-            trace.write(
-                json.dumps(
-                    {"cycle": cycle + 1, "best_scalar": tracker.scalar, "archive_size": len(archive)}
-                )
-                + "\n"
-            )
+        run.record(nests, cycle)
 
-    return SolveResult(
-        best=tracker.best_nest(),
-        archive=archive.nests(),
-        history=tuple(history),
-        wall_time=time.perf_counter() - t0,
-        cycles_run=config.max_cycles,
-    )
+    return run.result(config.max_cycles)

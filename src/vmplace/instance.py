@@ -8,6 +8,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -260,8 +261,9 @@ def read_instance(path: str | Path) -> PlacementProblem:
         raise ValueError(f"malformed instance file {path}: {exc!r}") from exc
 
 
-def write_placement(placement: Placement, path: str | Path) -> None:
-    _write_json({"assign": list(placement.assign)}, path)
+def write_placement(placement: Placement, dest: str | Path | TextIO) -> None:
+    """Write the placement JSON to a path or to an open text file."""
+    _write_json({"assign": list(placement.assign)}, dest)
 
 
 def read_placement(path: str | Path) -> Placement:
@@ -273,8 +275,12 @@ def read_placement(path: str | Path) -> Placement:
         raise ValueError(f"malformed placement file {path}: {exc!r}") from exc
 
 
-def _write_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(payload: dict, dest: str | Path | TextIO) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        Path(dest).write_text(text)
 
 
 def _read_json(path: str | Path) -> dict:

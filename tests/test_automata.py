@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +6,9 @@ from hypothesis import strategies as st
 from vmplace import (
     Automaton,
     AutomatonBank,
-    Placement,
     init_bank,
     penalize,
     reward,
-    sample_placement,
     update_from_population,
 )
 from vmplace.automata import sample_assignments
@@ -57,6 +53,15 @@ class TestInitBank:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             init_bank(0, 3)
+
+    def test_matrix_validated_and_read_only(self):
+        with pytest.raises(ValueError):
+            AutomatonBank(np.array([[0.5, 0.5], [0.2, 0.2]]))
+        with pytest.raises(ValueError):
+            AutomatonBank(np.array([0.5, 0.5]))
+        bank = init_bank(2, 2)
+        with pytest.raises(ValueError):
+            bank.probs[0, 0] = 1.0
 
 
 class TestReward:
@@ -112,16 +117,16 @@ class TestPenalize:
 
 class TestSampling:
     def test_degenerate_always_picks_unit_action(self):
-        bank = AutomatonBank((Automaton(np.array([0.0, 1.0, 0.0])),))
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            assert sample_placement(bank, rng).assign == (2,)
+        bank = AutomatonBank(np.array([[0.0, 1.0, 0.0]]))
+        draws = sample_assignments(bank, 100, np.random.default_rng(5))
+        assert draws.shape == (100, 1)
+        assert (draws == 1).all()
 
     def test_deterministic_for_seed(self):
         bank = init_bank(4, 3)
-        a = sample_placement(bank, np.random.default_rng(9))
-        b = sample_placement(bank, np.random.default_rng(9))
-        assert a == b
+        a = sample_assignments(bank, 1, np.random.default_rng(9))
+        b = sample_assignments(bank, 1, np.random.default_rng(9))
+        assert np.array_equal(a, b)
 
     def test_uniform_frequencies(self):
         bank = init_bank(1, 4)
@@ -132,16 +137,16 @@ class TestSampling:
 
     def test_matrix_and_single_draws_agree(self):
         bank = init_bank(3, 4)
-        single = sample_placement(bank, np.random.default_rng(21))
+        single = sample_assignments(bank, 1, np.random.default_rng(21))
         batch = sample_assignments(bank, 2, np.random.default_rng(21))
-        assert tuple(int(v) + 1 for v in batch[0]) == single.assign
+        assert np.array_equal(batch[0], single[0])
 
 
 class TestUpdateFromPopulation:
     def test_reward_then_penalize_composite(self):
         # one VM, two servers: reward server 1 (a=0.5) then penalize server 2 (b=0.1)
-        bank = AutomatonBank((Automaton(np.array([0.5, 0.5])),), reward_a=0.5, penalty_b=0.1)
-        out = update_from_population(bank, Placement((1,)), Placement((2,)))
+        bank = AutomatonBank(np.array([[0.5, 0.5]]), reward_a=0.5, penalty_b=0.1)
+        out = update_from_population(bank, np.array([0]), np.array([1]))
         probs = out.automata[0].probs
         assert abs(probs[0] - 0.775) <= 1e-12
         assert abs(probs[1] - 0.225) <= 1e-12
@@ -149,12 +154,45 @@ class TestUpdateFromPopulation:
     def test_length_mismatch_rejected(self):
         bank = init_bank(2, 3)
         with pytest.raises(ValueError):
-            update_from_population(bank, Placement((1,)), Placement((2, 2)))
+            update_from_population(bank, np.array([0]), np.array([1, 1]))
+        with pytest.raises(ValueError):
+            update_from_population(bank, np.array([0, 1]), np.array([1]))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_action_out_of_range(self, bad):
+        # fancy indexing would wrap -1 silently; the bank must refuse it
+        bank = init_bank(2, 3)
+        with pytest.raises(IndexError):
+            update_from_population(bank, np.array([0, bad]), np.array([1, 1]))
+        with pytest.raises(IndexError):
+            update_from_population(bank, np.array([0, 1]), np.array([bad, 1]))
 
     def test_pure_reward_when_penalty_disabled(self):
-        bank = AutomatonBank((Automaton(np.array([0.5, 0.5])),), reward_a=0.5, penalty_b=0.0)
-        out = update_from_population(bank, Placement((1,)), Placement((2,)))
+        bank = AutomatonBank(np.array([[0.5, 0.5]]), reward_a=0.5, penalty_b=0.0)
+        out = update_from_population(bank, np.array([0]), np.array([1]))
         assert abs(out.automata[0].probs[0] - 0.75) <= 1e-12
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 160),
+        a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        b=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**31),
+        steps=st.integers(1, 8),
+    )
+    def test_matches_row_by_row_rule_bit_for_bit(self, n, m, a, b, seed, steps):
+        rng = np.random.default_rng(seed)
+        bank = AutomatonBank(rng.dirichlet(np.ones(m), n), reward_a=a, penalty_b=b)
+        automata = list(bank.automata)
+        for _ in range(steps):
+            best, worst = rng.integers(0, m, n), rng.integers(0, m, n)
+            bank = update_from_population(bank, best, worst)
+            automata = [
+                penalize(reward(auto, good + 1, a), bad + 1, b)
+                for auto, good, bad in zip(automata, best, worst)
+            ]
+            assert np.array_equal(bank.probs, np.stack([auto.probs for auto in automata]))
 
 
 class TestSimplexPreservation:
@@ -180,14 +218,3 @@ class TestSimplexPreservation:
         auto = Automaton(np.array([0.4, 0.6]))
         assert reward(auto, 1, 0.3).probs[0] > 0.4
         assert penalize(auto, 1, 0.3).probs[0] < 0.4
-
-
-class TestJsonDump:
-    def test_bank_state_serializes(self):
-        bank = init_bank(2, 3, reward_a=0.4, penalty_b=0.02)
-        payload = bank.to_jsonable()
-        text = json.dumps(payload)
-        restored = json.loads(text)
-        assert restored["reward_a"] == 0.4
-        assert len(restored["probs"]) == 2
-        assert restored["probs"][0] == pytest.approx([1 / 3, 1 / 3, 1 / 3])

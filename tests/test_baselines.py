@@ -92,23 +92,6 @@ class TestPso:
         assert a.best.decoded == b.best.decoded
         assert a.history == b.history
 
-    def test_zero_velocity_swarm_at_one_point_stays_put(self, split_problem):
-        # all particles on the same feasible integer point: every attractor equals
-        # the position, so velocities stay zero and the best never moves
-        start = np.tile(np.array([1.0, 1.0, 2.0, 2.0]), (8, 1))
-        cfg = PsoConfig(pop_size=8, iterations=20, seed=0)
-        result = solve_pso(split_problem, cfg, initial_positions=start)
-        assert result.best.decoded.assign == (1, 1, 2, 2)
-        assert all(h == result.history[0] for h in result.history)
-
-    def test_initial_positions_shape_checked(self, split_problem):
-        with pytest.raises(ValueError):
-            solve_pso(
-                split_problem,
-                PsoConfig(pop_size=4, iterations=5, seed=0),
-                initial_positions=np.ones((3, 4)),
-            )
-
     def test_exact_scalar_reevaluation(self):
         rng = np.random.default_rng(33)
         p = random_problem(rng)

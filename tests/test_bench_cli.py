@@ -274,6 +274,24 @@ class TestCliSolve:
         assert len(lines) == 10
         assert set(json.loads(lines[0])) == {"cycle", "best_scalar", "archive_size"}
 
+    @pytest.mark.parametrize("flag", ["--trace", "--out"])
+    def test_unwritable_output_exit_2_before_solving(self, tmp_path, capsys, flag):
+        inst = tmp_path / "inst.json"
+        write_split_instance(inst)
+        rc = main(["solve", str(inst), "--pop", "4", "--cycles", "2", flag, str(tmp_path / "nodir" / "f.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_bad_config_leaves_no_trace_file(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        write_split_instance(inst)
+        trace = tmp_path / "t.jsonl"
+        assert main(["solve", str(inst), "--pop", "1", "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not trace.exists()
+
     def test_placement_file_byte_identical(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         write_split_instance(inst)
@@ -356,6 +374,20 @@ class TestCliBench:
         assert rc == 2
         capsys.readouterr()
 
+    def test_creates_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "s.csv"
+        rc = main(["bench", "--vm-counts", "8", "--servers", "4", "--reps", "1", "--algorithms", "ffd",
+                   "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        assert out.exists() and (out.parent / "s.raw.csv").exists() and (out.parent / "s.meta.json").exists()
+
+    def test_generator_failure_exit_1(self, tmp_path, capsys):
+        rc = main(["bench", "--vm-counts", "3", "--servers", "3", "--reps", "1", "--algorithms", "ffd",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCliOracleCheck:
     def test_reports_fractions(self, capsys):
@@ -381,6 +413,11 @@ class TestCliOracleCheck:
         rc = main(["oracle-check", "--count", "1", "--algorithms", "anneal"])
         assert rc == 3
         capsys.readouterr()
+
+    def test_bad_config_exit_2(self, capsys):
+        rc = main(["oracle-check", "--count", "1", "--pop", "1", "--algorithms", "ga"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestEntryPoint:

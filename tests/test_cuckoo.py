@@ -15,13 +15,12 @@ from vmplace import (
     decode,
     dominates,
     evaluate,
-    levy_step,
     repair,
     scalarize,
     solve,
 )
 from vmplace.baselines import brute_force
-from vmplace.cuckoo import ParetoArchive, _mantegna_sigma
+from vmplace.cuckoo import ParetoArchive, _levy, _mantegna_sigma
 
 from conftest import make_problem, random_problem
 
@@ -63,16 +62,16 @@ class TestLevyStep:
                 self.calls += 1
                 return np.zeros(shape) if self.calls == 1 else np.ones(shape)
 
-        steps = levy_step(StubRng(), 1.5, 4)
+        steps = _levy(StubRng(), 1.5, (4,))
         assert np.all(steps == 0.0)
 
     def test_deterministic_for_seed(self):
-        a = levy_step(np.random.default_rng(3), 1.5, 100)
-        b = levy_step(np.random.default_rng(3), 1.5, 100)
+        a = _levy(np.random.default_rng(3), 1.5, (100,))
+        b = _levy(np.random.default_rng(3), 1.5, (100,))
         assert np.array_equal(a, b)
 
     def test_symmetric_and_heavy_tailed(self):
-        steps = levy_step(np.random.default_rng(42), 1.5, 100_000)
+        steps = _levy(np.random.default_rng(42), 1.5, (100_000,))
         stderr = steps.std() / math.sqrt(steps.size)
         assert abs(steps.mean()) < 3 * stderr
         z = (steps - steps.mean()) / steps.std()
@@ -81,9 +80,9 @@ class TestLevyStep:
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
-            levy_step(np.random.default_rng(0), 1.0, 4)
+            _levy(np.random.default_rng(0), 1.0, (4,))
         with pytest.raises(ValueError):
-            levy_step(np.random.default_rng(0), 2.5, 4)
+            _levy(np.random.default_rng(0), 2.5, (4,))
 
 
 class TestRepair:
