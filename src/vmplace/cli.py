@@ -100,10 +100,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return _fail(str(exc), EXIT_BAD_INPUT)
 
     with ExitStack() as outputs:
+        # on failure remove only the outputs this call created: a path that
+        # existed before (a kept log, /dev/null) is not ours to delete
+        created = [Path(name) for name in (args.trace, args.out) if name and not Path(name).exists()]
         try:
             trace = outputs.enter_context(open(args.trace, "w")) if args.trace else None
             out = outputs.enter_context(open(args.out, "w")) if args.out else None
         except OSError as exc:
+            outputs.close()
+            for path in created:
+                path.unlink(missing_ok=True)
             return _fail(f"cannot open output: {exc}", EXIT_BAD_INPUT)
         try:
             placement, result, wall = bench.run_algorithm(problem, args.algorithm, config, trace)

@@ -191,51 +191,96 @@ def _repair_row(
     return changed
 
 
-_CACHE_MISS = object()
-_REPAIR_CACHE_LIMIT = 65536
+def _repair_rows(
+    problem: PlacementProblem,
+    rows: np.ndarray,
+    cpu_used: np.ndarray,
+    mem_used: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """In-place ``_repair_row`` on every row of a batch at once; True where a row changed.
+
+    Each pass makes at most one move per live row, with the same float
+    operations in the same order as the per-row rule, so rows and loads
+    match it bit for bit.  A row leaves the batch once it has no overloaded
+    server or its evicted VM fits nowhere; leaving restores the saved loads
+    of the server the VM was taken from.
+    """
+    server_cpu, server_mem = problem.server_cpu, problem.server_mem
+    vm_cpu, vm_mem = problem.vm_cpu, problem.vm_mem
+    measure = problem.vm_demand_measure
+    changed = np.zeros(rows.shape[0], dtype=bool)
+    # The working arrays hold only the live rows: ids maps them back to the
+    # batch, and at numbers them for the (row, server) fancy indexing.
+    ids = at = np.arange(rows.shape[0])
+    a, cpu, mem, cnt = rows, cpu_used, mem_used, counts
+    for _ in range(problem.n):
+        over = cpu > server_cpu
+        over |= mem > server_mem
+        if not over.any():
+            break
+        j = over.argmax(axis=1)
+        # largest hosted VM; masked argmax keeps the first-index tie-break
+        v = np.where(a == j[:, None], measure, -np.inf).argmax(axis=1)
+        v_cpu, v_mem = vm_cpu[v], vm_mem[v]
+        old_cpu, old_mem = cpu[at, j], mem[at, j]
+        cpu[at, j] = old_cpu - v_cpu
+        mem[at, j] = old_mem - v_mem
+        cnt[at, j] -= 1
+        fits = cpu + v_cpu[:, None] <= server_cpu
+        fits &= mem + v_mem[:, None] <= server_mem
+        move = over[at, j] & fits.any(axis=1)
+        if not move.all():
+            # rows without an overload take the same subtract-then-restore, which is exact
+            stop = ~move
+            back = at[stop], j[stop]
+            cpu[back] = old_cpu[stop]
+            mem[back] = old_mem[stop]
+            cnt[back] += 1
+            out = ids[stop]
+            rows[out], cpu_used[out], mem_used[out], counts[out] = a[stop], cpu[stop], mem[stop], cnt[stop]
+            ids, a, cpu, mem, cnt = ids[move], a[move], cpu[move], mem[move], cnt[move]
+            if not ids.size:
+                return changed
+            at, v, v_cpu, v_mem, fits = at[: ids.size], v[move], v_cpu[move], v_mem[move], fits[move]
+        slack = (
+            problem.alpha * (server_cpu - cpu) / problem.mean_cpu
+            + problem.beta * (server_mem - mem) / problem.mean_mem
+        )
+        slack[~fits] = -np.inf
+        t = slack.argmax(axis=1)
+        a[at, v] = t
+        cpu[at, t] += v_cpu
+        mem[at, t] += v_mem
+        cnt[at, t] += 1
+        changed[ids] = True
+    rows[ids], cpu_used[ids], mem_used[ids], counts[ids] = a, cpu, mem, cnt
+    return changed
 
 
 def _evaluate_rows(
     problem: PlacementProblem,
     rows: np.ndarray,
     weights: ScalarWeights,
-    cache: dict | None = None,
 ) -> tuple[BatchObjectives, np.ndarray]:
-    """Repair each row in place, then score the batch.
+    """Repair the infeasible rows in place, then score the batch.
 
     Returns the objective columns and the scalar column.  Loads of rows the
     repair modified are recomputed from scratch so scores match a
     from-scratch evaluation bit for bit.
-
-    ``cache`` memoizes repair by row content; repair is a pure function of
-    the row, so hits reproduce the miss path exactly.  Entries are ``None``
-    for rows repair could not change.
     """
     cpu_used, mem_used, counts = batch_loads(problem, rows)
-    bad = ~(
+    bad = np.flatnonzero(~(
         (cpu_used <= problem.server_cpu).all(axis=1)
         & (mem_used <= problem.server_mem).all(axis=1)
-    )
-    changed = np.zeros(rows.shape[0], dtype=bool)
-    for r in np.flatnonzero(bad):
-        if cache is None:
-            changed[r] = _repair_row(problem, rows[r], cpu_used[r], mem_used[r], counts[r])
-            continue
-        key = rows[r].tobytes()
-        hit = cache.get(key, _CACHE_MISS)
-        if hit is not _CACHE_MISS:
-            if hit is not None:
-                rows[r] = hit
-                changed[r] = True
-            continue
-        moved = _repair_row(problem, rows[r], cpu_used[r], mem_used[r], counts[r])
-        changed[r] = moved
-        if len(cache) >= _REPAIR_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = rows[r].copy() if moved else None
-    if changed.any():
-        idx = np.flatnonzero(changed)
-        cpu_used[idx], mem_used[idx], counts[idx] = batch_loads(problem, rows[idx])
+    ))
+    if bad.size:
+        repaired = rows[bad]
+        changed = _repair_rows(problem, repaired, cpu_used[bad], mem_used[bad], counts[bad])
+        if changed.any():
+            idx = bad[changed]
+            rows[idx] = repaired[changed]
+            cpu_used[idx], mem_used[idx], counts[idx] = batch_loads(problem, rows[idx])
     objs = batch_objectives(problem, cpu_used, mem_used, counts)
     return objs, batch_scalarize(objs, weights)
 
@@ -382,11 +427,11 @@ def _offer_batch(archive: ParetoArchive, batch: _Batch) -> None:
 class _Run:
     """The bookkeeping every population solver shares around its move operator.
 
-    ``evaluate`` decodes, repairs and scores positions through one repair
-    cache; ``record`` tracks the best-so-far (feasible first), offers the
-    batch to the archive and, per cycle, logs the history and the trace row;
-    ``result`` assembles the ``SolveResult``.  ``config`` is any solver
-    config: only its ``weights`` and ``archive_cap`` are read.
+    ``evaluate`` decodes positions, repairs the infeasible rows as one batch
+    and scores them; ``record`` tracks the best-so-far (feasible first),
+    offers the batch to the archive and, per cycle, logs the history and the
+    trace row; ``result`` assembles the ``SolveResult``.  ``config`` is any
+    solver config: only its ``weights`` and ``archive_cap`` are read.
     """
 
     def __init__(self, problem: PlacementProblem, config, trace: TextIO | None) -> None:
@@ -395,7 +440,6 @@ class _Run:
         self.weights = config.weights
         self.trace = trace
         self.archive = ParetoArchive(config.archive_cap)
-        self.cache: dict = {}
         self.history: list[float] = []
         self.scalar = math.inf
         self.best: tuple | None = None
@@ -406,7 +450,7 @@ class _Run:
         """Score ``positions``; coordinates the repair moved snap onto their new server."""
         rows = _decode0(positions, self.problem.m)
         before = rows.copy()
-        objs, scalars = _evaluate_rows(self.problem, rows, self.weights, self.cache)
+        objs, scalars = _evaluate_rows(self.problem, rows, self.weights)
         return _Batch(np.where(rows != before, rows + 1.0, positions), rows, *objs, scalars)
 
     def record(self, batch: _Batch, cycle: int = 0) -> None:

@@ -284,6 +284,21 @@ class TestCliSolve:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    def test_unwritable_out_removes_created_trace(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        write_split_instance(inst)
+        trace = tmp_path / "t.jsonl"
+        argv = ["solve", str(inst), "--pop", "4", "--cycles", "2", "--trace", str(trace),
+                "--out", str(tmp_path / "nodir" / "p.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not trace.exists()
+        # a trace path that existed before the call is left in place
+        trace.write_text("kept\n")
+        assert main(argv) == 2
+        capsys.readouterr()
+        assert trace.exists()
+
     def test_bad_config_leaves_no_trace_file(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         write_split_instance(inst)

@@ -20,7 +20,8 @@ from vmplace import (
     solve,
 )
 from vmplace.baselines import brute_force
-from vmplace.cuckoo import ParetoArchive, _levy, _mantegna_sigma
+from vmplace.cuckoo import ParetoArchive, _evaluate_rows, _levy, _mantegna_sigma, _repair_row, _repair_rows
+from vmplace.objectives import batch_loads
 
 from conftest import make_problem, random_problem
 
@@ -119,6 +120,96 @@ class TestRepair:
             return len({v.server for v in check_feasible(p, placement)[1]})
 
         assert overloaded(repair(p, s)) <= overloaded(s)
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def assert_batch_repair_matches_rows(problem, rows):
+    """``_repair_rows`` on the batch equals ``_repair_row`` on each row, bit for bit."""
+    rows = np.array(rows, dtype=np.int64).reshape(-1, problem.n)
+    cpu, mem, counts = batch_loads(problem, rows)
+    batch = [rows.copy(), cpu.copy(), mem.copy(), counts.copy()]
+    changed = _repair_rows(problem, *batch)
+    single = [rows.copy(), cpu.copy(), mem.copy(), counts.copy()]
+    expected = [_repair_row(problem, *(arr[r] for arr in single)) for r in range(len(rows))]
+    assert changed.dtype == bool and changed.tolist() == expected
+    assert _bits(*batch) == _bits(*single)
+    return expected
+
+
+# Half-integer sizes make loads sum exactly onto a capacity; arbitrary
+# floats give loads that carry rounding error.
+_SIZES = st.one_of(st.integers(1, 16).map(lambda k: k / 2), st.floats(0.1, 9.0))
+
+
+@st.composite
+def repair_batches(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    servers = [(draw(_SIZES), draw(_SIZES)) for _ in range(m)]
+    vms = [(draw(_SIZES), draw(_SIZES)) for _ in range(n)]
+    k = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n), min_size=k, max_size=k))
+    return make_problem(servers, vms), rows
+
+
+class TestRepairRows:
+    @settings(max_examples=300)
+    @given(case=repair_batches())
+    def test_matches_per_row_rule(self, case):
+        assert_batch_repair_matches_rows(*case)
+
+    @pytest.mark.parametrize(
+        "servers, vms, rows, expected",
+        [
+            # fixed, already feasible, and fixed with loads landing exactly on capacity
+            ([(10, 10)] * 2, [(5, 5)] * 4, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 1]], [True, False, True]),
+            # a single row on a single server gives up; mem 7.53 - 2.85 + 2.85 would
+            # come back as 7.529999999999999, so only the saved load restores it
+            ([(10, 5)], [(1, 2.02), (1, 2.85), (1, 2.66)], [[0, 0, 0]], [False]),
+            # m = 1 with feasible rows: nothing to do
+            ([(10, 10)], [(6, 6), (3, 3)], [[0, 0], [0, 0]], [False, False]),
+            # a VM larger than every server: gives up on the first move
+            ([(10, 10), (8, 8)], [(12, 3), (1, 1)], [[0, 0], [1, 0]], [False, False]),
+            # one move, then the next evicted VM fits nowhere: restore mid-row
+            ([(10, 10)] * 2, [(6, 1)] * 3, [[0, 0, 0], [1, 1, 1], [0, 1, 0]], [True, True, False]),
+        ],
+    )
+    def test_named_cases(self, servers, vms, rows, expected):
+        assert assert_batch_repair_matches_rows(make_problem(servers, vms), rows) == expected
+
+    def test_empty_batch(self, split_problem):
+        assert assert_batch_repair_matches_rows(split_problem, np.empty((0, 4))) == []
+
+
+class TestEvaluateRows:
+    def test_batch_matches_single_row_scoring(self):
+        """Per row: the repaired row, objectives and scalar of repair + evaluate + scalarize."""
+        weights = ScalarWeights()
+        rng = np.random.default_rng(21)
+        seen = {"feasible": 0, "repaired": 0, "gave_up": 0}
+        for _ in range(20):
+            p = random_problem(rng)
+            rows = rng.integers(0, p.m, (12, p.n))
+            # a repaired copy is often feasible, so the batch mixes both kinds
+            rows[0] = np.array(repair(p, Placement(tuple(int(v) + 1 for v in rows[1]))).assign) - 1
+            before = rows.copy()
+            objs, scalars = _evaluate_rows(p, rows, weights)
+            for r, row in enumerate(before):
+                placement = Placement(tuple(int(v) + 1 for v in row))
+                fixed = repair(p, placement)
+                vector = evaluate(p, fixed)
+                assert tuple(int(v) + 1 for v in rows[r]) == fixed.assign
+                assert (objs.utilization[r], objs.load_balance[r]) == (vector.utilization, vector.load_balance)
+                assert (objs.active_fraction[r], objs.feasible[r]) == (vector.active_fraction, vector.feasible)
+                assert scalars[r] == scalarize(vector, weights)
+                if check_feasible(p, placement)[0]:
+                    seen["feasible"] += 1
+                else:
+                    seen["repaired" if fixed is not placement else "gave_up"] += 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestParetoArchive:
