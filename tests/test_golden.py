@@ -99,6 +99,10 @@ def _solver_runs() -> list[tuple[str, object, object]]:
                 la_fraction=0.7,
             ),
         ),
+        # no regeneration rows; every nest doomed each cycle; the smallest population
+        ("lamocs_pa0", solve, SolverConfig(pop_size=20, max_cycles=30, seed=15, p_a=0.0)),
+        ("lamocs_pa1", solve, SolverConfig(pop_size=20, max_cycles=30, seed=16, p_a=1.0)),
+        ("lamocs_pop2", solve, SolverConfig(pop_size=2, max_cycles=30, seed=17)),
         ("ga", solve_ga, GaConfig(pop_size=20, generations=30, seed=13)),
         ("pso", solve_pso, PsoConfig(pop_size=20, iterations=30, seed=14)),
     ]
