@@ -496,15 +496,37 @@ def _draw_positions(bank: AutomatonBank, rng: np.random.Generator, k: int, k_la:
     return X
 
 
+def _accept(nests: _Batch, prop: _Batch, targets: np.ndarray) -> None:
+    """Move proposal ``i`` into nest ``targets[i]`` where it wins, as one ``put``.
+
+    For each target the first proposal with the lowest scalar wins, and only
+    if that scalar is strictly below the nest's.  This is what offering the
+    proposals one at a time in row order gives: the accepted scalars strictly
+    decrease, so a later equal scalar never replaces an earlier one.
+    """
+    order = np.lexsort((prop.scalars, targets))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = targets[order[1:]] != targets[order[:-1]]
+    lead = order[first]
+    win = lead[prop.scalars[lead] < nests.scalars[targets[lead]]]
+    nests.put(targets[win], prop, win)
+
+
 def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None = None) -> SolveResult:
     """Run the automata-guided cuckoo search; deterministic for a fixed seed.
 
-    Each cycle: propose one Lévy step per nest against a uniformly random
-    nest (all proposals from the cycle-start population), abandon the worst
-    ``ceil(p_a * pop)`` nests and regenerate them (an ``la_fraction`` share
-    from the automaton bank, the rest uniformly), update the bank with the
-    cycle's scalar-best and scalar-worst placements, and offer the whole
-    population to the non-dominated archive.
+    Each cycle first makes all of its random draws, in this order: one Lévy
+    step per nest, a uniformly random target nest per step, the abandonment
+    permutation when ``abandon_strategy="random"``, and the ``ceil(p_a * pop)``
+    regenerated positions (an ``la_fraction`` share from the automaton bank,
+    the rest uniformly).  The Lévy proposals, all taken from the cycle-start
+    population, and the regenerated positions are then repaired and scored as
+    one batch.  Acceptance is one array operation: each target nest takes the
+    first of its proposals with the lowest scalar, if that beats it strictly.
+    The doomed nests (by default the worst after acceptance) take the
+    regenerated positions.  Last, the bank learns from the cycle's
+    scalar-best and scalar-worst placements, and the whole population is
+    offered to the non-dominated archive.
     """
     run = _Run(problem, config, trace)
     m, n = problem.m, problem.n
@@ -517,39 +539,45 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
     bank = init_bank(n, m, config.reward_a, config.penalty_b)
     la_initial = config.la_applies_to in ("initial_population", "both")
     la_regenerated = config.la_applies_to in ("regenerated", "both")
+    n_abandon = math.ceil(config.p_a * pop)
+    n_la = math.ceil(config.la_fraction * n_abandon) if la_regenerated else 0
 
     seed_la = math.ceil(config.la_fraction * pop) if la_initial else 0
     nests = run.evaluate(_draw_positions(bank, rng, pop, seed_la))
     run.record(nests)
 
     for cycle in range(1, config.max_cycles + 1):
-        # 1. Lévy proposals, each judged against a uniformly random nest.
+        # 1. The cycle's random draws, before any evaluation.
         X = nests.positions
-        gbest = X[int(np.argmin(nests.scalars))].copy()
+        gbest = X[int(np.argmin(nests.scalars))]
         steps = _levy(rng, config.levy_beta, (pop, n))
-        prop = run.evaluate(np.clip(X + scale * steps * (X - gbest), 1.0, float(m)))
         targets = rng.integers(0, pop, pop)
-        for i in range(pop):
-            j = targets[i]
-            if prop.scalars[i] < nests.scalars[j]:
-                nests.put(j, prop, i)
+        if n_abandon and config.abandon_strategy == "random":
+            doomed = rng.permutation(pop)[:n_abandon]
+        fresh = _draw_positions(bank, rng, n_abandon, n_la)
 
-        # 2. Abandonment and regeneration.
-        n_abandon = math.ceil(config.p_a * pop)
+        # 2. One evaluation: the Lévy proposals, then the regenerated positions.
+        # an infinite step times a zero distance is NaN: that coordinate stays put
+        with np.errstate(invalid="ignore"):
+            proposals = np.clip(X + scale * steps * (X - gbest), 1.0, float(m))
+        np.copyto(proposals, X, where=np.isnan(proposals))
+        batch = run.evaluate(np.vstack((proposals, fresh)))
+
+        # 3. Acceptance, each proposal judged against its target nest.
+        _accept(nests, _Batch(*(column[:pop] for column in batch)), targets)
+
+        # 4. Abandonment: the doomed nests take the regenerated positions.
         if n_abandon:
-            if config.abandon_strategy == "random":
-                doomed = rng.permutation(pop)[:n_abandon]
-            else:
+            if config.abandon_strategy != "random":
                 doomed = np.argsort(nests.scalars, kind="stable")[-n_abandon:][::-1]
-            n_la = math.ceil(config.la_fraction * n_abandon) if la_regenerated else 0
-            nests.put(doomed, run.evaluate(_draw_positions(bank, rng, n_abandon, n_la)), slice(None))
+            nests.put(doomed, batch, slice(pop, None))
 
-        # 3. Bank update from the cycle's scalar-best and scalar-worst placements.
+        # 5. Bank update from the cycle's scalar-best and scalar-worst placements.
         bank = update_from_population(
             bank, nests.rows[int(np.argmin(nests.scalars))], nests.rows[int(np.argmax(nests.scalars))]
         )
 
-        # 4. Archive and bookkeeping.
+        # 6. Archive and bookkeeping.
         run.record(nests, cycle)
 
     return run.result(config.max_cycles)

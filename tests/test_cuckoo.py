@@ -19,8 +19,18 @@ from vmplace import (
     scalarize,
     solve,
 )
+from vmplace import cuckoo
 from vmplace.baselines import brute_force
-from vmplace.cuckoo import ParetoArchive, _evaluate_rows, _levy, _mantegna_sigma, _repair_row, _repair_rows
+from vmplace.cuckoo import (
+    ParetoArchive,
+    _accept,
+    _Batch,
+    _evaluate_rows,
+    _levy,
+    _mantegna_sigma,
+    _repair_row,
+    _repair_rows,
+)
 from vmplace.objectives import batch_loads
 
 from conftest import make_problem, random_problem
@@ -212,6 +222,64 @@ class TestEvaluateRows:
         assert min(seen.values()) > 0, seen
 
 
+def _batch(rng: np.random.Generator, scalars: list[float], n: int) -> _Batch:
+    """A batch whose every column differs row by row, so any misplaced entry shows."""
+    k = len(scalars)
+    return _Batch(
+        rng.uniform(1.0, 5.0, (k, n)),
+        rng.integers(0, 5, (k, n)),
+        rng.uniform(0.0, 1.0, k),
+        rng.uniform(0.0, 1.0, k),
+        rng.uniform(0.0, 1.0, k),
+        rng.random(k) < 0.5,
+        np.array(scalars, dtype=np.float64),
+    )
+
+
+# A few values, signed zeros and non-finite ones included, so ties are common.
+_SCALARS = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0, math.inf, math.nan])
+
+
+@st.composite
+def acceptance_cases(draw):
+    pop = draw(st.integers(2, 8))
+    targets = draw(st.lists(st.integers(0, pop - 1), min_size=pop, max_size=pop))
+    nest_scalars = draw(st.lists(_SCALARS, min_size=pop, max_size=pop))
+    prop_scalars = draw(st.lists(_SCALARS, min_size=pop, max_size=pop))
+    return pop, np.array(targets, dtype=np.int64), nest_scalars, prop_scalars, draw(st.integers(0, 2**32 - 1))
+
+
+class TestAccept:
+    @settings(max_examples=400)
+    @given(case=acceptance_cases())
+    def test_matches_sequential_loop(self, case):
+        pop, targets, nest_scalars, prop_scalars, seed = case
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        nests, prop = _batch(rng, nest_scalars, n), _batch(rng, prop_scalars, n)
+        expected = _Batch(*(column.copy() for column in nests))
+        for i in range(pop):
+            j = targets[i]
+            if prop.scalars[i] < expected.scalars[j]:
+                expected.put(j, prop, i)
+        _accept(nests, prop, targets)
+        assert _bits(*nests) == _bits(*expected)
+
+    def test_no_winner_leaves_nests(self):
+        rng = np.random.default_rng(5)
+        nests, prop = _batch(rng, [1.0, 0.5, 2.0], 3), _batch(rng, [1.0, 0.5, 2.0], 3)
+        before = _bits(*nests)
+        _accept(nests, prop, np.array([0, 1, 0]))
+        assert _bits(*nests) == before
+
+    def test_first_lowest_wins(self):
+        rng = np.random.default_rng(6)
+        nests, prop = _batch(rng, [3.0, 3.0, 3.0, 3.0], 2), _batch(rng, [2.0, 1.0, 1.0, 4.0], 2)
+        _accept(nests, prop, np.array([2, 2, 2, 0]))
+        assert nests.scalars.tolist() == [3.0, 3.0, 1.0, 3.0]
+        assert np.array_equal(nests.positions[2], prop.positions[1])
+
+
 class TestParetoArchive:
     def test_mutually_non_dominated(self):
         rng = np.random.default_rng(8)
@@ -329,6 +397,40 @@ class TestSolve:
         assert scalars == sorted(scalars, reverse=True) or all(
             a >= b for a, b in zip(scalars, scalars[1:])
         )
+
+    def test_non_finite_levy_steps(self, monkeypatch):
+        """An infinite step clips to 1 or m; times a zero distance, or a NaN step, it stays put."""
+
+        def levy(rng, beta, shape):
+            steps = _levy(rng, beta, shape)
+            steps[:, 0] = np.inf
+            steps[:, 1] = np.nan  # u == v == 0
+            return steps
+
+        inputs, outputs = [], []
+        run_evaluate = cuckoo._Run.evaluate
+
+        def recorded(run, positions):
+            batch = run_evaluate(run, positions)
+            inputs.append(positions.copy())
+            outputs.append((batch.positions.copy(), batch.scalars.copy()))
+            return batch
+
+        monkeypatch.setattr(cuckoo, "_levy", levy)
+        monkeypatch.setattr(cuckoo._Run, "evaluate", recorded)
+        p = random_problem(np.random.default_rng(18), m=4, n=9)
+        cfg = SolverConfig(pop_size=10, max_cycles=20, seed=2)
+        result = solve(p, cfg)
+        assert result.cycles_run == 20
+        assert result.best.scalar == scalarize(evaluate(p, result.best.decoded), cfg.weights)
+
+        X, scalars = outputs[0]
+        gbest = X[int(np.argmin(scalars))]
+        proposals = inputs[1][: cfg.pop_size]
+        assert np.array_equal(proposals[:, 1], X[:, 1])
+        expected = np.where(X[:, 0] > gbest[0], float(p.m), np.where(X[:, 0] < gbest[0], 1.0, X[:, 0]))
+        assert np.array_equal(proposals[:, 0], expected)
+        assert np.isfinite(np.concatenate(inputs)).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
