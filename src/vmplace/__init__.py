@@ -42,18 +42,12 @@ from .instance import (
 from .objectives import (
     ObjectiveVector,
     ScalarWeights,
-    ServerLoad,
     Violation,
     check_feasible,
     dominates,
-    eval_active_fraction,
-    eval_load_balance,
-    eval_resource_waste,
-    eval_utilization,
     evaluate,
+    resource_waste,
     scalarize,
-    server_loads,
-    utilization_sum,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import numpy as np
 from .baselines import GaConfig, PsoConfig, solve_ffd, solve_ga, solve_pso
 from .cuckoo import SolveResult, SolverConfig, solve
 from .instance import GeneratorConfig, Placement, PlacementProblem, generate_instance, _write_json
-from .objectives import ScalarWeights, eval_resource_waste, evaluate, server_loads
+from .objectives import ScalarWeights, evaluate, resource_waste
 
 __all__ = [
     "ALGORITHMS",
@@ -201,7 +201,6 @@ def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int, pop_si
     config = make_config(algorithm, cfg.cycles, pop_size=pop, seed=solver_seed, weights=cfg.weights)
     placement, _, wall = run_algorithm(problem, algorithm, config)
     objs = evaluate(problem, placement)
-    loads = server_loads(problem, placement)
     report = RunReport(
         algorithm=algorithm,
         n=vm_count,
@@ -210,8 +209,8 @@ def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int, pop_si
         seed=solver_seed,
         utilization=objs.utilization,
         load_balance=objs.load_balance,
-        active_servers=sum(load.active for load in loads),
-        resource_waste=eval_resource_waste(loads),
+        active_servers=round(objs.active_fraction * problem.m),
+        resource_waste=resource_waste(problem, placement),
         feasible=objs.feasible,
         wall_time_ms=wall * 1000.0,
     )

@@ -21,7 +21,7 @@ from .instance import (
     write_instance,
     write_placement,
 )
-from .objectives import ScalarWeights, eval_resource_waste, evaluate, scalarize, server_loads
+from .objectives import ScalarWeights, evaluate, resource_waste, scalarize
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -117,14 +117,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
             return _fail(str(exc), EXIT_BAD_INPUT)
 
         objs = evaluate(problem, placement)
-        loads = server_loads(problem, placement)
         report = {
             "algorithm": args.algorithm,
             "feasible": objs.feasible,
             "utilization": objs.utilization,
             "load_balance": objs.load_balance,
-            "active_servers": sum(load.active for load in loads),
-            "resource_waste": eval_resource_waste(loads),
+            "active_servers": round(objs.active_fraction * problem.m),
+            "resource_waste": resource_waste(problem, placement),
             "scalar": None if result is None else result.best.scalar,
             "cycles": 0 if result is None else result.cycles_run,
             "archive_size": 0 if result is None else len(result.archive),
@@ -194,6 +193,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             f"unknown algorithm {unknown[0]!r}; choose from {', '.join(bench.ALGORITHMS)}",
             EXIT_UNKNOWN_ALGORITHM,
         )
+    # instances draw m in [2, max_servers] and n in [m + 1, max_vms]
+    if args.max_servers < 2:
+        return _fail("--max-servers must be at least 2", EXIT_BAD_INPUT)
+    if args.max_vms <= args.max_servers:
+        return _fail("--max-vms must exceed --max-servers", EXIT_BAD_INPUT)
+    if args.count < 1:
+        return _fail("--count must be at least 1", EXIT_BAD_INPUT)
     rng = np.random.default_rng(args.seed)
     weights = ScalarWeights()
     matches = {algorithm: 0 for algorithm in args.algorithms}

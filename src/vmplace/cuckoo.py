@@ -285,30 +285,35 @@ def _evaluate_rows(
     return objs, batch_scalarize(objs, weights)
 
 
+def _weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(len a, len b)`` matrix: True where key row ``a[i]`` beats or equals ``b[j]``.
+
+    Key rows are (utilization, load balance, active fraction, feasible).
+    Feasible beats infeasible; within a class, a row wins when it is at least
+    as high on utilization and at most as high on the other two.
+    """
+    fa, fb = a[:, 3, None], b[None, :, 3]
+    ge = (a[:, 0, None] >= b[None, :, 0]) & (a[:, 1, None] <= b[None, :, 1]) & (a[:, 2, None] <= b[None, :, 2])
+    return (fa > fb) | ((fa == fb) & ge)
+
+
 class ParetoArchive:
     """Bounded set of mutually non-dominated entries; feasible trumps infeasible.
 
     At most one entry is kept per distinct objective vector.  When the cap is
     exceeded, the entry with the smallest nearest-neighbor distance in
     min-max-normalized objective space is dropped until the cap holds.
+    Members are one ``(k, 4)`` key array for the dominance kernel plus, in the
+    same order, a list of (position, row, objective vector, scalar) entries.
     """
 
     def __init__(self, cap: int | None):
         self.cap = cap
-        self._positions: list[np.ndarray] = []
-        self._rows: list[np.ndarray] = []
-        self._objs: list[tuple[float, float, float]] = []
-        self._feas: list[bool] = []
-        self._scalars: list[float] = []
-        self._matrix: np.ndarray | None = None
+        self._keys = np.empty((0, 4))
+        self._entries: list[tuple[np.ndarray, np.ndarray, ObjectiveVector, float]] = []
 
     def __len__(self) -> int:
-        return len(self._objs)
-
-    def _obj_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.array(self._objs, dtype=np.float64).reshape(len(self._objs), 3)
-        return self._matrix
+        return len(self._entries)
 
     def rejects(self, cand: np.ndarray, cand_feas: np.ndarray) -> np.ndarray:
         """Vectorized pre-check: True where a current member beats or equals the candidate.
@@ -317,52 +322,31 @@ class ParetoArchive:
         entries are accepted, so survivors of this check can be offered one by
         one with identical results.
         """
-        if not self._objs:
-            return np.zeros(len(cand_feas), dtype=bool)
-        mat = self._obj_matrix()
-        feas_col = np.asarray(self._feas)
-        trump = feas_col[:, None] & ~cand_feas[None, :]
-        same_class = feas_col[:, None] == cand_feas[None, :]
-        ge = (
-            (mat[:, 0][:, None] >= cand[:, 0])
-            & (mat[:, 1][:, None] <= cand[:, 1])
-            & (mat[:, 2][:, None] <= cand[:, 2])
-        )
-        return (trump | (same_class & ge)).any(axis=0)
+        return _weakly_dominates(self._keys, np.column_stack((cand, cand_feas))).any(axis=0)
 
     def offer(self, position: np.ndarray, row: np.ndarray, objs: ObjectiveVector, scalar: float) -> bool:
         """Insert if non-dominated; drops newly dominated members. True when inserted."""
-        u, lb, af, feas = objs.utilization, objs.load_balance, objs.active_fraction, objs.feasible
-        if self._objs:
-            mat = self._obj_matrix()
-            feas_col = np.asarray(self._feas)
-            same_class = feas_col == feas
-            ge = (mat[:, 0] >= u) & (mat[:, 1] <= lb) & (mat[:, 2] <= af)
-            eq = (mat[:, 0] == u) & (mat[:, 1] == lb) & (mat[:, 2] == af)
-            beats_candidate = (feas_col & ~feas) | (same_class & ge & ~eq)
-            if beats_candidate.any() or (same_class & eq).any():
-                return False
-            le = (mat[:, 0] <= u) & (mat[:, 1] >= lb) & (mat[:, 2] >= af)
-            beaten = (~feas_col & feas) | (same_class & le & ~eq)
-            if beaten.any():
-                keep = ~beaten
-                self._positions = [p for p, k in zip(self._positions, keep) if k]
-                self._rows = [r for r, k in zip(self._rows, keep) if k]
-                self._objs = [o for o, k in zip(self._objs, keep) if k]
-                self._feas = [f for f, k in zip(self._feas, keep) if k]
-                self._scalars = [s for s, k in zip(self._scalars, keep) if k]
-        self._positions.append(np.array(position, dtype=np.float64))
-        self._rows.append(np.array(row, dtype=np.int64))
-        self._objs.append((float(u), float(lb), float(af)))
-        self._feas.append(bool(feas))
-        self._scalars.append(float(scalar))
-        self._matrix = None
+        key = np.array([[objs.utilization, objs.load_balance, objs.active_fraction, objs.feasible]], dtype=np.float64)
+        if _weakly_dominates(self._keys, key).any():
+            return False
+        # no member equals the candidate now, so weak dominance by it is strict
+        beaten = _weakly_dominates(key, self._keys)[0]
+        if beaten.any():
+            self._keys = self._keys[~beaten]
+            self._entries = [entry for entry, gone in zip(self._entries, beaten) if not gone]
+        self._keys = np.vstack((self._keys, key))
+        vector = ObjectiveVector(
+            float(objs.utilization), float(objs.load_balance), float(objs.active_fraction), bool(objs.feasible)
+        )
+        self._entries.append(
+            (np.array(position, dtype=np.float64), np.array(row, dtype=np.int64), vector, float(scalar))
+        )
         self._thin()
         return True
 
     def _thin(self) -> None:
-        while self.cap is not None and len(self._objs) > self.cap:
-            mat = self._obj_matrix()
+        while self.cap is not None and len(self._entries) > self.cap:
+            mat = self._keys[:, :3]
             span = mat.max(axis=0) - mat.min(axis=0)
             span[span == 0.0] = 1.0
             norm = (mat - mat.min(axis=0)) / span
@@ -370,21 +354,13 @@ class ParetoArchive:
             dist = np.sqrt((diff * diff).sum(axis=2))
             np.fill_diagonal(dist, np.inf)
             drop = int(np.argmin(dist.min(axis=1)))
-            del self._positions[drop], self._rows[drop], self._objs[drop]
-            del self._feas[drop], self._scalars[drop]
-            self._matrix = None
+            self._keys = np.delete(self._keys, drop, axis=0)
+            del self._entries[drop]
 
     def nests(self) -> tuple[Nest, ...]:
         return tuple(
-            Nest(
-                position,
-                Placement(tuple(int(v) + 1 for v in row)),
-                ObjectiveVector(o[0], o[1], o[2], f),
-                s,
-            )
-            for position, row, o, f, s in zip(
-                self._positions, self._rows, self._objs, self._feas, self._scalars
-            )
+            Nest(position, Placement(tuple(int(v) + 1 for v in row)), vector, scalar)
+            for position, row, vector, scalar in self._entries
         )
 
 

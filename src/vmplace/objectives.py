@@ -10,16 +10,10 @@ import numpy as np
 from .instance import Placement, PlacementProblem
 
 __all__ = [
-    "ServerLoad",
     "ObjectiveVector",
     "Violation",
     "ScalarWeights",
-    "server_loads",
-    "eval_utilization",
-    "eval_load_balance",
-    "eval_active_fraction",
-    "eval_resource_waste",
-    "utilization_sum",
+    "resource_waste",
     "check_feasible",
     "evaluate",
     "dominates",
@@ -27,16 +21,6 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ServerLoad:
-    """Totals for one server under one placement."""
-
-    cpu_used: float
-    mem_used: float
-    utilization: float
-    active: bool
 
 
 @dataclass(frozen=True)
@@ -126,47 +110,16 @@ def batch_scalarize(objs: BatchObjectives, weights: ScalarWeights) -> np.ndarray
     return base + np.where(objs.feasible, 0.0, weights.infeasibility_penalty)
 
 
-def server_loads(problem: PlacementProblem, placement: Placement) -> list[ServerLoad]:
-    """Per-server load summary; inactive servers report zero use and utilization."""
+def resource_waste(problem: PlacementProblem, placement: Placement) -> float:
+    """Mean unused-capacity share ``1 - utilization`` over the servers hosting a VM.
+
+    Averages the per-server complements, which can differ from
+    ``1 - evaluate(...).utilization`` in the last bits.
+    """
     a0 = _assign0(problem, placement)
     cpu_used, mem_used, counts = batch_loads(problem, a0[None, :])
     util = problem.alpha * cpu_used[0] / problem.server_cpu + problem.beta * mem_used[0] / problem.server_mem
-    return [
-        ServerLoad(float(c), float(mm), float(u), bool(k > 0))
-        for c, mm, u, k in zip(cpu_used[0], mem_used[0], util, counts[0])
-    ]
-
-
-def _active_utils(loads: list[ServerLoad]) -> list[float]:
-    utils = [load.utilization for load in loads if load.active]
-    if not utils:
-        raise ValueError("no active servers")
-    return utils
-
-
-def eval_utilization(loads: list[ServerLoad]) -> float:
-    """Mean utilization over active servers."""
-    return float(np.mean(_active_utils(loads)))
-
-
-def eval_load_balance(loads: list[ServerLoad]) -> float:
-    """Population standard deviation of utilization over active servers."""
-    return float(np.std(_active_utils(loads)))
-
-
-def eval_active_fraction(loads: list[ServerLoad]) -> float:
-    """Fraction of servers hosting at least one VM."""
-    return sum(load.active for load in loads) / len(loads)
-
-
-def eval_resource_waste(loads: list[ServerLoad]) -> float:
-    """Mean unused-capacity share over active servers: 1 - mean utilization."""
-    return float(np.mean([1.0 - u for u in _active_utils(loads)]))
-
-
-def utilization_sum(loads: list[ServerLoad]) -> float:
-    """Unnormalized sum of per-server utilization across all servers (diagnostic)."""
-    return float(sum(load.utilization for load in loads))
+    return float(np.mean(1.0 - util[counts[0] > 0]))
 
 
 def check_feasible(problem: PlacementProblem, placement: Placement) -> tuple[bool, list[Violation]]:

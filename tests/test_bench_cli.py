@@ -419,10 +419,22 @@ class TestCliOracleCheck:
             fraction = float(rest.split("fraction")[1].strip(" )"))
             assert 0.0 <= fraction <= 1.0
 
-    def test_zero_count_vacuous_pass(self, capsys):
+    def test_zero_count_exit_2(self, capsys):
         rc = main(["oracle-check", "--count", "0", "--algorithms", "ffd"])
-        assert rc == 0
-        assert "0/0" in capsys.readouterr().out
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_one_server_bound_exit_2(self, capsys):
+        rc = main(["oracle-check", "--count", "1", "--max-servers", "1", "--algorithms", "ffd"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_vm_bound_not_above_server_bound_exit_2(self, capsys):
+        rc = main(["oracle-check", "--count", "1", "--max-servers", "3", "--max-vms", "3", "--algorithms", "ffd"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unknown_algorithm_exit_3(self, capsys):
         rc = main(["oracle-check", "--count", "1", "--algorithms", "anneal"])

@@ -22,6 +22,7 @@ from vmplace import (
 from vmplace import cuckoo
 from vmplace.baselines import brute_force
 from vmplace.cuckoo import (
+    Nest,
     ParetoArchive,
     _accept,
     _Batch,
@@ -31,7 +32,7 @@ from vmplace.cuckoo import (
     _repair_row,
     _repair_rows,
 )
-from vmplace.objectives import batch_loads
+from vmplace.objectives import ObjectiveVector, batch_loads
 
 from conftest import make_problem, random_problem
 
@@ -280,7 +281,139 @@ class TestAccept:
         assert np.array_equal(nests.positions[2], prop.positions[1])
 
 
+class ListParetoArchive:
+    """Reference: the five-parallel-list archive, kept verbatim as the oracle for ``ParetoArchive``."""
+
+    def __init__(self, cap: int | None):
+        self.cap = cap
+        self._positions: list[np.ndarray] = []
+        self._rows: list[np.ndarray] = []
+        self._objs: list[tuple[float, float, float]] = []
+        self._feas: list[bool] = []
+        self._scalars: list[float] = []
+        self._matrix: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self._objs)
+
+    def _obj_matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = np.array(self._objs, dtype=np.float64).reshape(len(self._objs), 3)
+        return self._matrix
+
+    def rejects(self, cand: np.ndarray, cand_feas: np.ndarray) -> np.ndarray:
+        if not self._objs:
+            return np.zeros(len(cand_feas), dtype=bool)
+        mat = self._obj_matrix()
+        feas_col = np.asarray(self._feas)
+        trump = feas_col[:, None] & ~cand_feas[None, :]
+        same_class = feas_col[:, None] == cand_feas[None, :]
+        ge = (
+            (mat[:, 0][:, None] >= cand[:, 0])
+            & (mat[:, 1][:, None] <= cand[:, 1])
+            & (mat[:, 2][:, None] <= cand[:, 2])
+        )
+        return (trump | (same_class & ge)).any(axis=0)
+
+    def offer(self, position: np.ndarray, row: np.ndarray, objs: ObjectiveVector, scalar: float) -> bool:
+        u, lb, af, feas = objs.utilization, objs.load_balance, objs.active_fraction, objs.feasible
+        if self._objs:
+            mat = self._obj_matrix()
+            feas_col = np.asarray(self._feas)
+            same_class = feas_col == feas
+            ge = (mat[:, 0] >= u) & (mat[:, 1] <= lb) & (mat[:, 2] <= af)
+            eq = (mat[:, 0] == u) & (mat[:, 1] == lb) & (mat[:, 2] == af)
+            beats_candidate = (feas_col & ~feas) | (same_class & ge & ~eq)
+            if beats_candidate.any() or (same_class & eq).any():
+                return False
+            le = (mat[:, 0] <= u) & (mat[:, 1] >= lb) & (mat[:, 2] >= af)
+            beaten = (~feas_col & feas) | (same_class & le & ~eq)
+            if beaten.any():
+                keep = ~beaten
+                self._positions = [p for p, k in zip(self._positions, keep) if k]
+                self._rows = [r for r, k in zip(self._rows, keep) if k]
+                self._objs = [o for o, k in zip(self._objs, keep) if k]
+                self._feas = [f for f, k in zip(self._feas, keep) if k]
+                self._scalars = [s for s, k in zip(self._scalars, keep) if k]
+        self._positions.append(np.array(position, dtype=np.float64))
+        self._rows.append(np.array(row, dtype=np.int64))
+        self._objs.append((float(u), float(lb), float(af)))
+        self._feas.append(bool(feas))
+        self._scalars.append(float(scalar))
+        self._matrix = None
+        self._thin()
+        return True
+
+    def _thin(self) -> None:
+        while self.cap is not None and len(self._objs) > self.cap:
+            mat = self._obj_matrix()
+            span = mat.max(axis=0) - mat.min(axis=0)
+            span[span == 0.0] = 1.0
+            norm = (mat - mat.min(axis=0)) / span
+            diff = norm[:, None, :] - norm[None, :, :]
+            dist = np.sqrt((diff * diff).sum(axis=2))
+            np.fill_diagonal(dist, np.inf)
+            drop = int(np.argmin(dist.min(axis=1)))
+            del self._positions[drop], self._rows[drop], self._objs[drop]
+            del self._feas[drop], self._scalars[drop]
+            self._matrix = None
+
+    def nests(self) -> tuple[Nest, ...]:
+        return tuple(
+            Nest(
+                position,
+                Placement(tuple(int(v) + 1 for v in row)),
+                ObjectiveVector(o[0], o[1], o[2], f),
+                s,
+            )
+            for position, row, o, f, s in zip(
+                self._positions, self._rows, self._objs, self._feas, self._scalars
+            )
+        )
+
+
+def _nest_bits(nest: Nest) -> tuple:
+    o = nest.objectives
+    return (
+        nest.position.tobytes(),
+        nest.decoded.assign,
+        o.utilization.hex(),
+        o.load_balance.hex(),
+        o.active_fraction.hex(),
+        o.feasible,
+        nest.scalar.hex(),
+        tuple(type(v) for v in (o.utilization, o.load_balance, o.active_fraction, o.feasible, nest.scalar)),
+    )
+
+
+# Coarse grids make repeated vectors and ties in nearest-neighbour distance common.
+_GRID_VECTORS = st.tuples(
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    st.sampled_from([-0.0, 0.0, 0.25, 0.5]),
+    st.sampled_from([0.25, 0.5, 1.0]),
+    st.booleans(),
+)
+
+
 class TestParetoArchive:
+    @settings(max_examples=300)
+    @given(
+        cap=st.one_of(st.none(), st.integers(1, 5)),
+        offers=st.lists(_GRID_VECTORS, max_size=40),
+        probes=st.lists(_GRID_VECTORS, min_size=1, max_size=6),
+    )
+    def test_matches_list_reference(self, cap, offers, probes):
+        archive, reference = ParetoArchive(cap), ListParetoArchive(cap)
+        cand = np.array([probe[:3] for probe in probes], dtype=np.float64)
+        cand_feas = np.array([probe[3] for probe in probes])
+        for i, (u, lb, af, feas) in enumerate(offers):
+            vector = ObjectiveVector(u, lb, af, feas)
+            position, row, scalar = np.array([i + 0.5, -i]), np.array([i, 2 * i]), u - lb + i
+            assert archive.offer(position, row, vector, scalar) == reference.offer(position, row, vector, scalar)
+            assert len(archive) == len(reference)
+            assert archive.rejects(cand, cand_feas).tolist() == reference.rejects(cand, cand_feas).tolist()
+            assert [_nest_bits(n) for n in archive.nests()] == [_nest_bits(n) for n in reference.nests()]
+
     def test_mutually_non_dominated(self):
         rng = np.random.default_rng(8)
         p = random_problem(rng)
@@ -305,15 +438,11 @@ class TestParetoArchive:
         for _ in range(60):
             u = float(rng.uniform(0, 1))
             # points on a strictly trading-off front so nothing dominates
-            from vmplace.objectives import ObjectiveVector
-
             vector = ObjectiveVector(u, 0.5 * (1 - u) + 1e-9 * rng.random(), u, True)
             archive.offer(np.array([1.0]), np.array([0]), vector, u)
         assert len(archive) <= 5
 
     def test_duplicate_objectives_kept_once(self):
-        from vmplace.objectives import ObjectiveVector
-
         archive = ParetoArchive(cap=10)
         vector = ObjectiveVector(0.5, 0.1, 0.5, True)
         assert archive.offer(np.array([1.0]), np.array([0]), vector, 0.3)

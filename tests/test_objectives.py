@@ -7,79 +7,95 @@ from vmplace import (
     ObjectiveVector,
     Placement,
     ScalarWeights,
-    ServerLoad,
     check_feasible,
     dominates,
-    eval_active_fraction,
-    eval_load_balance,
-    eval_resource_waste,
-    eval_utilization,
     evaluate,
+    resource_waste,
     scalarize,
-    server_loads,
-    utilization_sum,
 )
 from vmplace.objectives import batch_loads, batch_objectives, batch_scalarize
 
 from conftest import make_problem, random_problem
 
 
-def loads_from_utils(utils, inactive=0):
-    loads = [ServerLoad(0.0, 0.0, u, True) for u in utils]
-    loads += [ServerLoad(0.0, 0.0, 0.0, False)] * inactive
-    return loads
+def placed(servers, vms, assign, alpha=0.5, beta=0.5):
+    """A problem and a 1-based placement of its VMs."""
+    return make_problem(servers, vms, alpha, beta), Placement(tuple(assign))
+
+
+def legacy_resource_waste(problem, placement) -> float:
+    """The per-server-list definition: mean of ``1 - u`` over the hosting servers."""
+    a0 = np.asarray(placement.assign, dtype=np.int64) - 1
+    cpu_used, mem_used, counts = batch_loads(problem, a0[None, :])
+    util = problem.alpha * cpu_used[0] / problem.server_cpu + problem.beta * mem_used[0] / problem.server_mem
+    return float(np.mean([1.0 - float(u) for u, k in zip(util, counts[0]) if k > 0]))
 
 
 class TestServerLoads:
     def test_single_server_example(self, one_server_problem):
-        loads = server_loads(one_server_problem, Placement((1, 1)))
-        assert loads[0].cpu_used == 5.0
-        assert loads[0].mem_used == 8.0
-        assert loads[0].utilization == pytest.approx(0.5, abs=1e-12)
-        assert loads[0].active
+        # cpu alone (alpha = 1) and mem alone (beta = 1) read back the totals 5 and 8
+        servers, vms = [(10, 16)], [(2, 4), (3, 4)]
+        assert evaluate(*placed(servers, vms, (1, 1), 1.0, 0.0)).utilization == 5.0 / 10.0
+        assert evaluate(*placed(servers, vms, (1, 1), 0.0, 1.0)).utilization == 8.0 / 16.0
+        objs = evaluate(one_server_problem, Placement((1, 1)))
+        assert objs.utilization == pytest.approx(0.5, abs=1e-12)
+        assert objs.active_fraction == 1.0
 
     def test_empty_server_inactive(self, split_problem):
-        loads = server_loads(split_problem, Placement((1, 1, 1, 1)))
-        assert loads[1] == ServerLoad(0.0, 0.0, 0.0, False)
+        objs = evaluate(split_problem, Placement((1, 1, 1, 1)))
+        # the empty server counts neither in the mean nor as active
+        assert objs.utilization == pytest.approx(2.0, abs=1e-12)
+        assert objs.load_balance == 0.0
+        assert objs.active_fraction == 0.5
+        assert resource_waste(split_problem, Placement((1, 1, 1, 1))) == pytest.approx(-1.0, abs=1e-12)
 
     def test_full_server_utilization_one(self):
-        p = make_problem([(4, 6)], [(4, 6)])
-        loads = server_loads(p, Placement((1,)))
-        assert loads[0].utilization == pytest.approx(1.0, abs=1e-12)
+        p, s = placed([(4, 6)], [(4, 6)], (1,))
+        assert evaluate(p, s).utilization == pytest.approx(1.0, abs=1e-12)
+        assert resource_waste(p, s) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEvalFunctions:
     def test_utilization_mean(self):
-        assert eval_utilization(loads_from_utils([0.5, 0.5])) == pytest.approx(0.5)
-        assert eval_utilization(loads_from_utils([1.0], inactive=3)) == pytest.approx(1.0)
+        assert evaluate(*placed([(10, 10)] * 2, [(5, 5)] * 2, (1, 2))).utilization == pytest.approx(0.5)
+        assert evaluate(*placed([(10, 10)] * 4, [(10, 10)], (1,))).utilization == pytest.approx(1.0)
 
     def test_load_balance_values(self):
-        assert eval_load_balance(loads_from_utils([0.5, 0.5])) == 0.0
-        assert eval_load_balance(loads_from_utils([0.2, 0.8])) == pytest.approx(0.3, abs=1e-12)
-        assert eval_load_balance(loads_from_utils([0.7])) == 0.0
-
-    def test_load_balance_no_active_raises(self):
-        with pytest.raises(ValueError):
-            eval_load_balance(loads_from_utils([], inactive=2))
+        assert evaluate(*placed([(10, 10)] * 2, [(5, 5)] * 2, (1, 2))).load_balance == 0.0
+        lb = evaluate(*placed([(10, 10)] * 2, [(2, 2), (8, 8)], (1, 2))).load_balance
+        assert lb == pytest.approx(0.3, abs=1e-12)
+        assert evaluate(*placed([(10, 10)], [(7, 7)], (1,))).load_balance == 0.0
 
     def test_active_fraction(self):
-        assert eval_active_fraction(loads_from_utils([0.1, 0.2], inactive=2)) == 0.5
-        assert eval_active_fraction(loads_from_utils([0.1])) == 1.0
+        assert evaluate(*placed([(10, 10)] * 4, [(1, 1), (2, 2)], (1, 2))).active_fraction == 0.5
+        assert evaluate(*placed([(10, 10)], [(1, 1)], (1,))).active_fraction == 1.0
 
     def test_resource_waste(self):
-        assert eval_resource_waste(loads_from_utils([1.0])) == 0.0
-        assert eval_resource_waste(loads_from_utils([0.2, 0.8])) == pytest.approx(0.5, abs=1e-12)
+        assert resource_waste(*placed([(10, 10)], [(10, 10)], (1,))) == 0.0
+        waste = resource_waste(*placed([(10, 10)] * 3, [(2, 2), (8, 8)], (1, 2)))
+        assert waste == pytest.approx(0.5, abs=1e-12)
 
     def test_waste_is_complement_of_utilization(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            utils = rng.uniform(0, 1, rng.integers(1, 6)).tolist()
-            loads = loads_from_utils(utils, inactive=int(rng.integers(0, 3)))
-            assert eval_resource_waste(loads) == pytest.approx(1.0 - eval_utilization(loads), abs=1e-12)
+            p = random_problem(rng)
+            s = Placement(tuple(int(v) for v in rng.integers(1, p.m + 1, p.n)))
+            assert resource_waste(p, s) == pytest.approx(1.0 - evaluate(p, s).utilization, abs=1e-12)
 
-    def test_utilization_sum_diagnostic(self):
-        loads = loads_from_utils([0.25, 0.5], inactive=1)
-        assert utilization_sum(loads) == pytest.approx(0.75, abs=1e-12)
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**31))
+    def test_waste_and_active_servers_match_legacy(self, seed):
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, m=int(rng.integers(1, 40)), n=int(rng.integers(1, 60)))
+        s = Placement(tuple(int(v) for v in rng.integers(1, p.m + 1, p.n)))
+        assert resource_waste(p, s).hex() == legacy_resource_waste(p, s).hex()
+        assert round(evaluate(p, s).active_fraction * p.m) == len(set(s.assign))
+
+    def test_active_servers_round_trip(self):
+        # the reports count hosting servers as round(active_fraction * m)
+        for m in range(1, 301):
+            for k in range(1, m + 1):
+                assert round(float(np.int64(k) / m) * m) == k
 
 
 class TestCheckFeasible:
@@ -148,11 +164,21 @@ class TestBatchPath:
         rng = np.random.default_rng(seed)
         p = random_problem(rng)
         s = Placement(tuple(int(v) for v in rng.integers(1, p.m + 1, p.n)))
-        loads = server_loads(p, s)
+        # per-server reference in plain Python
+        cpu, mem = [0.0] * p.m, [0.0] * p.m
+        for vm, server in zip(p.vms, s.assign):
+            cpu[server - 1] += vm.cpu
+            mem[server - 1] += vm.mem
+        utils = [
+            p.alpha * c / srv.cpu + p.beta * mm / srv.mem
+            for c, mm, srv, j in zip(cpu, mem, p.servers, range(1, p.m + 1))
+            if j in s.assign
+        ]
         objs = evaluate(p, s)
-        assert eval_utilization(loads) == pytest.approx(objs.utilization, abs=1e-12)
-        assert eval_load_balance(loads) == pytest.approx(objs.load_balance, abs=1e-12)
-        assert eval_active_fraction(loads) == objs.active_fraction
+        assert objs.utilization == pytest.approx(np.mean(utils), abs=1e-12)
+        assert objs.load_balance == pytest.approx(np.std(utils), abs=1e-12)
+        assert objs.active_fraction == len(utils) / p.m
+        assert resource_waste(p, s) == pytest.approx(np.mean([1.0 - u for u in utils]), abs=1e-12)
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2**31))
