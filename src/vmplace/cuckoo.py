@@ -101,8 +101,14 @@ class SolveResult:
 
 
 def decode(position, m: int) -> Placement:
-    """Round each coordinate half-up and clamp into the 1..m server range."""
-    a0 = _decode0(np.asarray(position, dtype=np.float64), m)
+    """Round each coordinate half-up and clamp into the 1..m server range.
+
+    Infinite coordinates clamp to the nearest end; a NaN raises ValueError.
+    """
+    position = np.asarray(position, dtype=np.float64)
+    if np.isnan(position).any():
+        raise ValueError("position has a NaN coordinate")
+    a0 = _decode0(position, m)
     return Placement(tuple(int(v) + 1 for v in a0))
 
 
@@ -129,14 +135,15 @@ def _levy(rng: np.random.Generator, beta: float, shape: tuple[int, ...]) -> np.n
 def repair(problem: PlacementProblem, placement: Placement) -> Placement:
     """Move VMs off overloaded servers onto the feasible server with most slack.
 
-    Deterministic.  Feasible input comes back unchanged; when some VM cannot
-    be rehosted the placement is returned as-is, still infeasible.
+    Deterministic.  Feasible input comes back unchanged.  Repair stops when
+    an evicted VM fits nowhere; the moves made before then are kept, so the
+    result can still be infeasible.
     """
     placement.validate_for(problem)
-    a0 = np.asarray(placement.assign, dtype=np.int64) - 1
-    cpu_used, mem_used, counts = (arr[0].copy() for arr in batch_loads(problem, a0[None, :]))
-    if _repair_row(problem, a0, cpu_used, mem_used, counts):
-        return Placement(tuple(int(v) + 1 for v in a0))
+    rows = np.asarray(placement.assign, dtype=np.int64)[None, :] - 1
+    cpu_used, mem_used, _ = batch_loads(problem, rows)
+    if _repair_rows(problem, rows, cpu_used, mem_used)[0]:
+        return Placement(tuple(int(v) + 1 for v in rows[0]))
     return placement
 
 
@@ -196,65 +203,67 @@ def _repair_rows(
     rows: np.ndarray,
     cpu_used: np.ndarray,
     mem_used: np.ndarray,
-    counts: np.ndarray,
 ) -> np.ndarray:
     """In-place ``_repair_row`` on every row of a batch at once; True where a row changed.
 
-    Each pass makes at most one move per live row, with the same float
-    operations in the same order as the per-row rule, so rows and loads
-    match it bit for bit.  A row leaves the batch once it has no overloaded
-    server or its evicted VM fits nowhere; leaving restores the saved loads
-    of the server the VM was taken from.
+    ``cpu_used`` and ``mem_used`` are the rows' loads on entry and scratch
+    afterwards: only ``rows`` and the returned flags are outputs, and they
+    match the per-row rule bit for bit.  Each pass makes at most one move per
+    live row, with the per-row rule's float operations in the same order.  A
+    row leaves the batch once it has no overloaded server or its evicted VM
+    fits nowhere.
     """
-    server_cpu, server_mem = problem.server_cpu, problem.server_mem
-    vm_cpu, vm_mem = problem.vm_cpu, problem.vm_mem
-    measure = problem.vm_demand_measure
+    m, n = problem.m, problem.n
     changed = np.zeros(rows.shape[0], dtype=bool)
-    # The working arrays hold only the live rows: ids maps them back to the
-    # batch, and at numbers them for the (row, server) fancy indexing.
-    ids = at = np.arange(rows.shape[0])
-    a, cpu, mem, cnt = rows, cpu_used, mem_used, counts
-    for _ in range(problem.n):
-        over = cpu > server_cpu
-        over |= mem > server_mem
-        if not over.any():
-            break
+    cap = np.array((problem.server_cpu, problem.server_mem))[:, None, :]
+    weight = np.array((problem.alpha, problem.beta))[:, None, None]
+    mean = np.array((problem.mean_cpu, problem.mean_mem))[:, None, None]
+    # VMs in eviction order: largest demand first, first index on ties.  On an
+    # overloaded server the next VM to evict is its first one in this order.
+    order = (-problem.vm_demand_measure).argsort(kind="stable")
+    demand = np.array((problem.vm_cpu, problem.vm_mem)).take(order, axis=1)
+    # The working arrays hold only the live rows: ``load`` is (resource, row,
+    # server), ``a[r, q]`` is the server of VM ``order[q]``, and ``ids`` maps
+    # rows back to the batch.  Cells are reached by flat offset with take/put.
+    load = np.array((cpu_used, mem_used))
+    a = rows.take(order, axis=1)
+    ids = np.arange(rows.shape[0])
+    at_m, at_n = ids * m, ids * n
+    resource_at = np.array([[0], [ids.size * m]])
+    for i in range(n):
+        over = load > cap
+        over = over[0] | over[1]
         j = over.argmax(axis=1)
-        # largest hosted VM; masked argmax keeps the first-index tie-break
-        v = np.where(a == j[:, None], measure, -np.inf).argmax(axis=1)
-        v_cpu, v_mem = vm_cpu[v], vm_mem[v]
-        old_cpu, old_mem = cpu[at, j], mem[at, j]
-        cpu[at, j] = old_cpu - v_cpu
-        mem[at, j] = old_mem - v_mem
-        cnt[at, j] -= 1
-        fits = cpu + v_cpu[:, None] <= server_cpu
-        fits &= mem + v_mem[:, None] <= server_mem
-        move = over[at, j] & fits.any(axis=1)
-        if not move.all():
-            # rows without an overload take the same subtract-then-restore, which is exact
-            stop = ~move
-            back = at[stop], j[stop]
-            cpu[back] = old_cpu[stop]
-            mem[back] = old_mem[stop]
-            cnt[back] += 1
-            out = ids[stop]
-            rows[out], cpu_used[out], mem_used[out], counts[out] = a[stop], cpu[stop], mem[stop], cnt[stop]
-            ids, a, cpu, mem, cnt = ids[move], a[move], cpu[move], mem[move], cnt[move]
-            if not ids.size:
-                return changed
-            at, v, v_cpu, v_mem, fits = at[: ids.size], v[move], v_cpu[move], v_mem[move], fits[move]
-        slack = (
-            problem.alpha * (server_cpu - cpu) / problem.mean_cpu
-            + problem.beta * (server_mem - mem) / problem.mean_mem
-        )
-        slack[~fits] = -np.inf
-        t = slack.argmax(axis=1)
-        a[at, v] = t
-        cpu[at, t] += v_cpu
-        mem[at, t] += v_mem
-        cnt[at, t] += 1
-        changed[ids] = True
-    rows[ids], cpu_used[ids], mem_used[ids], counts[ids] = a, cpu, mem, cnt
+        j_at = at_m + j
+        live = over.take(j_at)
+        p = (a == j[:, None]).argmax(axis=1)
+        d = demand.take(p, axis=1)
+        cell = resource_at + j_at
+        load.put(cell, load.take(cell) - d)
+        fits = load + d[:, :, None] <= cap
+        fits = fits[0] & fits[1]
+        slack = cap - load
+        slack *= weight
+        slack /= mean
+        t = np.where(fits, slack[0] + slack[1], -np.inf).argmax(axis=1)
+        # A row leaves when it had no overloaded server (its j is 0 and the
+        # eviction above is void) or when nothing fits (argmax falls on 0).
+        keep = live & fits.take(at_m + t)
+        if not keep.all():
+            idx = np.flatnonzero(keep)
+            k = idx.size
+            if not k:
+                break
+            ids, a, load = ids.take(idx), a.take(idx, axis=0), load.take(idx, axis=1)
+            p, d, t = p.take(idx), d.take(idx, axis=1), t.take(idx)
+            at_m, at_n, resource_at = at_m[:k], at_n[:k], np.array([[0], [k * m]])
+        rows.put(ids * n + order.take(p), t)
+        a.put(at_n + p, t)
+        cell = resource_at + (at_m + t)
+        load.put(cell, load.take(cell) + d)
+        if not i:
+            # every row still live has moved, and later passes only drop rows
+            changed[ids] = True
     return changed
 
 
@@ -276,7 +285,7 @@ def _evaluate_rows(
     ))
     if bad.size:
         repaired = rows[bad]
-        changed = _repair_rows(problem, repaired, cpu_used[bad], mem_used[bad], counts[bad])
+        changed = _repair_rows(problem, repaired, cpu_used[bad], mem_used[bad])
         if changed.any():
             idx = bad[changed]
             rows[idx] = repaired[changed]

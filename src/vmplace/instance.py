@@ -55,7 +55,8 @@ class PlacementProblem:
 
     ``alpha`` weighs cpu and ``beta`` weighs memory in every utilization
     figure.  They must sum to 1 so a feasible server's utilization stays in
-    [0, 1].
+    [0, 1].  Server capacities and VM demands must be strictly positive in
+    both resources: a zero capacity would make every utilization NaN.
     """
 
     servers: tuple[ResourceVector, ...]
@@ -74,6 +75,9 @@ class PlacementProblem:
             raise ValueError("alpha and beta must lie in [0, 1]")
         if abs(self.alpha + self.beta - 1.0) > _WEIGHT_TOL:
             raise ValueError("alpha + beta must equal 1")
+        for server in self.servers:
+            if server.cpu <= 0.0 or server.mem <= 0.0:
+                raise ValueError("server capacities must be strictly positive in both resources")
         for vm in self.vms:
             if vm.cpu <= 0.0 or vm.mem <= 0.0:
                 raise ValueError("VM demands must be strictly positive in both resources")

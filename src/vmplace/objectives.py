@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +50,8 @@ class ScalarWeights:
     infeasibility_penalty: float = 10.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.w_util, self.w_lb, self.w_active, self.infeasibility_penalty))):
+            raise ValueError("weights and infeasibility_penalty must be finite")
         if min(self.w_util, self.w_lb, self.w_active) < 0.0:
             raise ValueError("weights must be non-negative")
         if abs(self.w_util + self.w_lb + self.w_active - 1.0) > _WEIGHT_TOL:

@@ -260,6 +260,27 @@ class TestCliSolve:
         report = json.loads(capsys.readouterr().out)
         assert report["feasible"] is False
 
+    @pytest.mark.parametrize("algorithm", ["lamocs", "ffd"])
+    def test_zero_capacity_server_exit_2(self, tmp_path, capsys, algorithm):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "servers": [{"cpu": 10.0, "mem": 16.0}, {"cpu": 0.0, "mem": 16.0}],
+            "vms": [{"cpu": 2.0, "mem": 2.0}, {"cpu": 3.0, "mem": 3.0}],
+        }))
+        assert main(["solve", str(inst), "--algorithm", algorithm, "--pop", "4", "--cycles", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capacities must be strictly positive" in captured.err
+
+    @pytest.mark.parametrize("flag, value", [("--w-util", "nan"), ("--infeasibility-penalty", "inf")])
+    def test_non_finite_weight_exit_2(self, tmp_path, capsys, flag, value):
+        inst = tmp_path / "inst.json"
+        write_split_instance(inst)
+        assert main(["solve", str(inst), "--pop", "4", "--cycles", "2", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
     def test_trace_written(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         write_split_instance(inst)

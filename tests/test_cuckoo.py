@@ -46,6 +46,12 @@ class TestDecode:
 
     def test_clamps_out_of_range(self):
         assert decode([-4.0, 99.0], 5).assign == (1, 5)
+        assert decode([-math.inf, math.inf], 5).assign == (1, 5)
+
+    def test_rejects_nan(self):
+        # the integer cast of a NaN would give an out-of-range server index
+        with pytest.raises(ValueError, match="NaN"):
+            decode([math.nan, 1.0, 2.0], 3)
 
     @settings(max_examples=50)
     @given(
@@ -138,15 +144,19 @@ def _bits(*arrays):
 
 
 def assert_batch_repair_matches_rows(problem, rows):
-    """``_repair_rows`` on the batch equals ``_repair_row`` on each row, bit for bit."""
+    """``_repair_rows`` on the batch equals ``_repair_row`` on each row, bit for bit.
+
+    Only the rows and the changed flags are compared: the batch kernel's
+    loads are scratch.
+    """
     rows = np.array(rows, dtype=np.int64).reshape(-1, problem.n)
     cpu, mem, counts = batch_loads(problem, rows)
-    batch = [rows.copy(), cpu.copy(), mem.copy(), counts.copy()]
-    changed = _repair_rows(problem, *batch)
+    batch = rows.copy()
+    changed = _repair_rows(problem, batch, cpu.copy(), mem.copy())
     single = [rows.copy(), cpu.copy(), mem.copy(), counts.copy()]
     expected = [_repair_row(problem, *(arr[r] for arr in single)) for r in range(len(rows))]
     assert changed.dtype == bool and changed.tolist() == expected
-    assert _bits(*batch) == _bits(*single)
+    assert batch.dtype == rows.dtype and _bits(batch) == _bits(single[0])
     return expected
 
 
@@ -157,11 +167,11 @@ _SIZES = st.one_of(st.integers(1, 16).map(lambda k: k / 2), st.floats(0.1, 9.0))
 
 @st.composite
 def repair_batches(draw):
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
     servers = [(draw(_SIZES), draw(_SIZES)) for _ in range(m)]
     vms = [(draw(_SIZES), draw(_SIZES)) for _ in range(n)]
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 10))
     rows = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n), min_size=k, max_size=k))
     return make_problem(servers, vms), rows
 
@@ -177,22 +187,50 @@ class TestRepairRows:
         [
             # fixed, already feasible, and fixed with loads landing exactly on capacity
             ([(10, 10)] * 2, [(5, 5)] * 4, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 1]], [True, False, True]),
-            # a single row on a single server gives up; mem 7.53 - 2.85 + 2.85 would
-            # come back as 7.529999999999999, so only the saved load restores it
+            # a single row on a single server gives up on its first move
             ([(10, 5)], [(1, 2.02), (1, 2.85), (1, 2.66)], [[0, 0, 0]], [False]),
             # m = 1 with feasible rows: nothing to do
             ([(10, 10)], [(6, 6), (3, 3)], [[0, 0], [0, 0]], [False, False]),
             # a VM larger than every server: gives up on the first move
             ([(10, 10), (8, 8)], [(12, 3), (1, 1)], [[0, 0], [1, 0]], [False, False]),
-            # one move, then the next evicted VM fits nowhere: restore mid-row
+            # one move, then the next evicted VM fits nowhere: gives up mid-row
             ([(10, 10)] * 2, [(6, 1)] * 3, [[0, 0, 0], [1, 1, 1], [0, 1, 0]], [True, True, False]),
+            # cpu 0.2 + 0.9 + 0.8 sums to 1.9000000000000001, one ulp over; without
+            # the 0.9 it is 1.0000000000000002, and adding the 0.9 back gives 1.9,
+            # so the evicted VM returns to its own server: changed, row the same
+            ([(1.9, 10)], [(0.2, 1), (0.9, 1), (0.8, 1)], [[0, 0, 0]], [True]),
         ],
     )
     def test_named_cases(self, servers, vms, rows, expected):
         assert assert_batch_repair_matches_rows(make_problem(servers, vms), rows) == expected
 
+    def test_evicted_vm_fits_back_by_one_ulp(self):
+        p = make_problem([(1.9, 10)], [(0.2, 1), (0.9, 1), (0.8, 1)])
+        rows = np.zeros((1, 3), dtype=np.int64)
+        cpu, mem, _ = batch_loads(p, rows)
+        assert cpu[0, 0] > 1.9
+        assert _repair_rows(p, rows, cpu, mem).tolist() == [True]
+        assert rows.tolist() == [[0, 0, 0]]
+        placement = Placement((1, 1, 1))
+        fixed = repair(p, placement)
+        assert fixed == placement and fixed is not placement
+
     def test_empty_batch(self, split_problem):
         assert assert_batch_repair_matches_rows(split_problem, np.empty((0, 4))) == []
+
+    @settings(max_examples=200)
+    @given(case=repair_batches())
+    def test_repair_matches_per_row_rule(self, case):
+        """``repair`` gives the ``_repair_row`` row, and the input object when nothing changed."""
+        problem, rows = case
+        for row in rows:
+            placement = Placement(tuple(v + 1 for v in row))
+            a0 = np.array(row, dtype=np.int64)
+            cpu, mem, counts = (arr[0] for arr in batch_loads(problem, a0[None, :]))
+            changed = _repair_row(problem, a0, cpu, mem, counts)
+            fixed = repair(problem, placement)
+            assert fixed.assign == tuple(int(v) + 1 for v in a0)
+            assert (fixed is placement) == (not changed)
 
 
 class TestEvaluateRows:

@@ -49,6 +49,12 @@ class TestPlacementProblem:
         with pytest.raises(ValueError):
             make_problem([(10, 10)], [(0.0, 1.0), (1, 1)])
 
+    @pytest.mark.parametrize("server", [(0.0, 10.0), (10.0, 0.0), (0.0, 0.0)])
+    def test_rejects_zero_capacity_server(self, server):
+        # a zero capacity makes every utilization NaN
+        with pytest.raises(ValueError, match="capacities must be strictly positive"):
+            make_problem([(10, 10), server], [(1, 1), (1, 1)])
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PlacementProblem(servers=(), vms=(ResourceVector(1, 1),))
@@ -185,6 +191,12 @@ class TestJsonIO:
         bad.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(ValueError):
             read_instance(bad)
+
+    def test_zero_capacity_server_raises_value_error(self, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"servers": [{"cpu": 10, "mem": 0}], "vms": [{"cpu": 1, "mem": 1}]}))
+        with pytest.raises(ValueError, match="capacities must be strictly positive"):
+            read_instance(path)
 
     def test_malformed_placement_raises_value_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,21 @@ class TestScalarize:
             ScalarWeights(-0.2, 0.6, 0.6)
         with pytest.raises(ValueError):
             ScalarWeights(infeasibility_penalty=0.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # NaN fails every comparison, so the sum check alone lets it through
+            dict(w_util=math.nan, w_lb=0.5, w_active=0.5),
+            dict(w_util=0.5, w_lb=math.nan, w_active=0.5),
+            dict(w_util=math.inf, w_lb=0.0, w_active=0.0),
+            dict(infeasibility_penalty=math.inf),
+            dict(infeasibility_penalty=math.nan),
+        ],
+    )
+    def test_weights_must_be_finite(self, fields):
+        with pytest.raises(ValueError, match="finite"):
+            ScalarWeights(**fields)
 
 
 class TestFeasibleBounds:
