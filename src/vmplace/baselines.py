@@ -26,6 +26,13 @@ __all__ = [
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
+# The baselines run at fixed textbook parameters.
+GA_CROSSOVER_RATE = 0.7
+GA_MUTATION_RATE = 0.05
+PSO_INERTIA = 0.7
+PSO_C1 = 1.5
+PSO_C2 = 1.5
+
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -33,50 +40,30 @@ class GaConfig:
 
     pop_size: int = 100
     generations: int = 500
-    crossover_rate: float = 0.7
-    mutation_rate: float = 0.05
     seed: int = 0
     weights: ScalarWeights = field(default_factory=ScalarWeights)
-    archive_cap: int = 100
 
     def __post_init__(self) -> None:
         if self.pop_size < 2:
             raise ValueError("pop_size must be at least 2")
         if self.generations < 0:
             raise ValueError("generations must be non-negative")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must lie in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must lie in [0, 1]")
-        if self.archive_cap < 1:
-            raise ValueError("archive_cap must be at least 1")
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Global-best PSO settings; ``v_max=None`` resolves to 0.5 * (m - 1)."""
+    """Global-best PSO settings."""
 
     pop_size: int = 100
     iterations: int = 500
-    inertia: float = 0.7
-    c1: float = 1.5
-    c2: float = 1.5
-    v_max: float | None = None
     seed: int = 0
     weights: ScalarWeights = field(default_factory=ScalarWeights)
-    archive_cap: int = 100
 
     def __post_init__(self) -> None:
         if self.pop_size < 2:
             raise ValueError("pop_size must be at least 2")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.inertia < 0.0 or self.c1 < 0.0 or self.c2 < 0.0:
-            raise ValueError("inertia, c1 and c2 must be non-negative")
-        if self.v_max is not None and self.v_max <= 0.0:
-            raise ValueError("v_max must be positive")
-        if self.archive_cap < 1:
-            raise ValueError("archive_cap must be at least 1")
 
 
 def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None = None) -> SolveResult:
@@ -86,7 +73,7 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
     are inherited.  Each generation produces one child per tournament pair
     plus a single elite copy of the best individual.
     """
-    run = _Run(problem, config, trace)
+    run = _Run(problem, config.weights, trace)
     m, n = problem.m, problem.n
     if m == 1:
         return run.single_server()
@@ -104,12 +91,12 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
         first = np.where(scalars[tours[:, 0]] <= scalars[tours[:, 1]], tours[:, 0], tours[:, 1])
         second = np.where(scalars[tours[:, 2]] <= scalars[tours[:, 3]], tours[:, 2], tours[:, 3])
         children = rows[first].copy()
-        crossed = rng.random(pop - 1) < config.crossover_rate
+        crossed = rng.random(pop - 1) < GA_CROSSOVER_RATE
         if n >= 2:
             points = rng.integers(1, n, pop - 1)
             take_second = crossed[:, None] & (cols[None, :] >= points[:, None])
             children[take_second] = rows[second][take_second]
-        mutate = rng.random((pop - 1, n)) < config.mutation_rate
+        mutate = rng.random((pop - 1, n)) < GA_MUTATION_RATE
         resets = rng.integers(0, m, (pop - 1, n))
         children[mutate] = resets[mutate]
 
@@ -125,18 +112,19 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
 def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None = None) -> SolveResult:
     """Global-best PSO over continuous positions; deterministic for a fixed seed.
 
-    Velocities start at zero.  A particle's best position snaps repaired
+    Velocities start at zero, and each coordinate is clamped to
+    ``0.5 * (m - 1)``.  A particle's best position snaps repaired
     coordinates onto their repaired server index, so recorded attractors
     always decode to the placement that earned their score.
     """
-    run = _Run(problem, config, trace)
+    run = _Run(problem, config.weights, trace)
     m, n = problem.m, problem.n
     if m == 1:
         return run.single_server()
 
     rng = np.random.default_rng(config.seed)
     pop = config.pop_size
-    v_max = config.v_max if config.v_max is not None else 0.5 * (m - 1)
+    v_max = 0.5 * (m - 1)
     X = rng.uniform(1.0, float(m), (pop, n))
     V = np.zeros((pop, n))
 
@@ -150,7 +138,7 @@ def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None
     for iteration in range(1, config.iterations + 1):
         r1 = rng.random((pop, n))
         r2 = rng.random((pop, n))
-        V = config.inertia * V + config.c1 * r1 * (pbest_X - X) + config.c2 * r2 * (gbest - X)
+        V = PSO_INERTIA * V + PSO_C1 * r1 * (pbest_X - X) + PSO_C2 * r2 * (gbest - X)
         np.clip(V, -v_max, v_max, out=V)
         X = np.clip(X + V, 1.0, float(m))
 

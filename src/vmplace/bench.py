@@ -6,7 +6,7 @@ import csv
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, TextIO
 
@@ -26,6 +26,7 @@ __all__ = [
     "SweepConfig",
     "derive_seed",
     "make_config",
+    "placement_metrics",
     "run_algorithm",
     "run_single",
     "run_sweep",
@@ -56,20 +57,6 @@ ALGORITHM_TABLE = {
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
-RAW_COLUMNS = (
-    "algorithm",
-    "n",
-    "m",
-    "rep",
-    "seed",
-    "utilization",
-    "load_balance",
-    "active_servers",
-    "resource_waste",
-    "feasible",
-    "wall_time_ms",
-)
-
 _AGG_METRICS = ("utilization", "load_balance", "active_servers", "resource_waste", "wall_time_ms")
 
 
@@ -88,6 +75,9 @@ class RunReport:
     resource_waste: float
     feasible: bool
     wall_time_ms: float
+
+
+RAW_COLUMNS = tuple(f.name for f in fields(RunReport))
 
 
 @dataclass(frozen=True)
@@ -124,6 +114,8 @@ class SweepConfig:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.vm_counts:
             raise ValueError("vm_counts must be non-empty")
+        if self.m < 1:
+            raise ValueError("m must be at least 1")
         if any(n < self.m for n in self.vm_counts):
             raise ValueError("every vm_count must be at least the server count")
         if self.reps < 1:
@@ -193,6 +185,22 @@ def run_algorithm(
     return result.best.decoded, result, result.wall_time
 
 
+def placement_metrics(problem: PlacementProblem, placement: Placement) -> dict:
+    """A placement's report metrics, recomputed from the placement alone.
+
+    Keys: ``utilization``, ``load_balance``, ``active_servers``,
+    ``resource_waste`` and ``feasible``.
+    """
+    objs = evaluate(problem, placement)
+    return {
+        "utilization": objs.utilization,
+        "load_balance": objs.load_balance,
+        "active_servers": round(objs.active_fraction * problem.m),
+        "resource_waste": resource_waste(problem, placement),
+        "feasible": objs.feasible,
+    }
+
+
 def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int, pop_size: int | None = None) -> RunRecord:
     """One benchmark cell; the report's metrics come from re-evaluating the placement."""
     pop = cfg.pop_size if pop_size is None else pop_size
@@ -200,32 +208,25 @@ def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int, pop_si
     solver_seed = derive_seed(cfg.base_seed, vm_count, algorithm, rep)
     config = make_config(algorithm, cfg.cycles, pop_size=pop, seed=solver_seed, weights=cfg.weights)
     placement, _, wall = run_algorithm(problem, algorithm, config)
-    objs = evaluate(problem, placement)
     report = RunReport(
         algorithm=algorithm,
         n=vm_count,
         m=cfg.m,
         rep=rep,
         seed=solver_seed,
-        utilization=objs.utilization,
-        load_balance=objs.load_balance,
-        active_servers=round(objs.active_fraction * problem.m),
-        resource_waste=resource_waste(problem, placement),
-        feasible=objs.feasible,
+        **placement_metrics(problem, placement),
         wall_time_ms=wall * 1000.0,
     )
     return RunRecord(report, placement, instance_seed, 0 if config is None else pop)
 
 
-def _run_cell(args: tuple) -> RunRecord:
-    return run_single(*args)
-
-
 def _run_cells(cfg: SweepConfig, cells: list[tuple]) -> list[RunRecord]:
+    """``run_single`` on every cell, in order; ``pool.map`` takes the cells' argument columns."""
+    columns = zip(*cells)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(_run_cell, cells))
-    return [run_single(*cell) for cell in cells]
+            return list(pool.map(run_single, *columns))
+    return list(map(run_single, *columns))
 
 
 def run_sweep(cfg: SweepConfig) -> list[RunRecord]:
@@ -240,9 +241,13 @@ def run_sweep(cfg: SweepConfig) -> list[RunRecord]:
 
 
 def run_pop_sweep(cfg: SweepConfig, pop_sizes: tuple[int, ...], vm_count: int = 100) -> list[RunRecord]:
-    """Population-size sweep at a fixed VM count."""
+    """Population-size sweep at a fixed VM count; the grid is checked before any cell runs."""
     if not pop_sizes:
         raise ValueError("pop_sizes must be non-empty")
+    if min(pop_sizes) < 2:
+        raise ValueError("every pop size must be at least 2")
+    if vm_count < cfg.m:
+        raise ValueError("the pop-sweep vm count must be at least the server count")
     cells = [
         (cfg, vm_count, algorithm, rep, pop)
         for pop in pop_sizes
@@ -289,16 +294,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _raw_rows(records: list[RunRecord], include_pop: bool) -> list[dict]:
+    """One dict per record: the ``RAW_COLUMNS``, then ``pop`` when asked for."""
+    rows = [asdict(rec.report) for rec in records]
+    if include_pop:
+        for row, rec in zip(rows, records):
+            row["pop"] = rec.pop
+    return rows
+
+
 def write_raw_csv(records: list[RunRecord], path: str | Path, include_pop: bool = False) -> None:
-    columns = RAW_COLUMNS + ("pop",) if include_pop else RAW_COLUMNS
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in records:
-            row = [getattr(rec.report, col) for col in RAW_COLUMNS]
-            if include_pop:
-                row.append(rec.pop)
-            writer.writerow([_format_cell(v) for v in row])
+    write_aggregate_csv(_raw_rows(records, include_pop), path)
 
 
 def write_aggregate_csv(rows: list[dict], path: str | Path) -> None:
@@ -313,13 +319,7 @@ def write_aggregate_csv(rows: list[dict], path: str | Path) -> None:
 
 
 def write_raw_json(records: list[RunRecord], path: str | Path, include_pop: bool = False) -> None:
-    payload = []
-    for rec in records:
-        entry = {col: getattr(rec.report, col) for col in RAW_COLUMNS}
-        if include_pop:
-            entry["pop"] = rec.pop
-        payload.append(entry)
-    _write_json({"runs": payload}, path)
+    _write_json({"runs": _raw_rows(records, include_pop)}, path)
 
 
 def write_aggregate_json(rows: list[dict], path: str | Path) -> None:
@@ -328,27 +328,9 @@ def write_aggregate_json(rows: list[dict], path: str | Path) -> None:
 
 def write_metadata(cfg: SweepConfig, path: str | Path, extra: dict | None = None) -> None:
     """Sidecar with every knob needed to reproduce the sweep; no timestamps."""
-    payload = {
-        "vm_counts": list(cfg.vm_counts),
-        "m": cfg.m,
-        "reps": cfg.reps,
-        "algorithms": list(cfg.algorithms),
-        "base_seed": cfg.base_seed,
-        "pop_size": cfg.pop_size,
-        "cycles": cfg.cycles,
-        "cpu_range": list(cfg.cpu_range),
-        "mem_range": list(cfg.mem_range),
-        "demand_floor_ratio": cfg.demand_floor_ratio,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "weights": {
-            "w_util": cfg.weights.w_util,
-            "w_lb": cfg.weights.w_lb,
-            "w_active": cfg.weights.w_active,
-            "infeasibility_penalty": cfg.weights.infeasibility_penalty,
-        },
-        "seed_formula": "blake2b64('{base_seed}|{vm_count}|{algorithm_id}|{rep}'), instances use algorithm_id='instance'",
-    }
+    payload = asdict(cfg)
+    del payload["jobs"]  # worker count: the sweep's rows do not depend on it
+    payload["seed_formula"] = "blake2b64('{base_seed}|{vm_count}|{algorithm_id}|{rep}'), instances use algorithm_id='instance'"
     if extra:
         payload.update(extra)
     _write_json(payload, path)

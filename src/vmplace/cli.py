@@ -21,7 +21,7 @@ from .instance import (
     write_instance,
     write_placement,
 )
-from .objectives import ScalarWeights, evaluate, resource_waste, scalarize
+from .objectives import ScalarWeights, evaluate, scalarize
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -111,19 +111,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             for path in created:
                 path.unlink(missing_ok=True)
             return _fail(f"cannot open output: {exc}", EXIT_BAD_INPUT)
-        try:
-            placement, result, wall = bench.run_algorithm(problem, args.algorithm, config, trace)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_BAD_INPUT)
-
-        objs = evaluate(problem, placement)
+        placement, result, wall = bench.run_algorithm(problem, args.algorithm, config, trace)
+        metrics = bench.placement_metrics(problem, placement)
         report = {
             "algorithm": args.algorithm,
-            "feasible": objs.feasible,
-            "utilization": objs.utilization,
-            "load_balance": objs.load_balance,
-            "active_servers": round(objs.active_fraction * problem.m),
-            "resource_waste": resource_waste(problem, placement),
+            **metrics,
             "scalar": None if result is None else result.best.scalar,
             "cycles": 0 if result is None else result.cycles_run,
             "archive_size": 0 if result is None else len(result.archive),
@@ -132,7 +124,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         if out is not None:
             write_placement(placement, out)
-    return EXIT_OK if objs.feasible else EXIT_INFEASIBLE
+    return EXIT_OK if metrics["feasible"] else EXIT_INFEASIBLE
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -164,6 +156,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             records = bench.run_sweep(cfg)
             rows = bench.aggregate(records, by="n")
             extra = {"mode": "sweep"}
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_BAD_INPUT)
     except GeneratorError as exc:
         return _fail(str(exc), EXIT_FAILURE)
 

@@ -33,6 +33,9 @@ __all__ = [
 
 LA_APPLIES_CHOICES = ("regenerated", "initial_population", "both")
 ABANDON_CHOICES = ("worst_ranked", "random")
+# Yang & Deb's fixed Lévy exponent, and the non-dominated archive's size bound
+LEVY_BETA = 1.5
+ARCHIVE_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -52,12 +55,14 @@ class Nest:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Cuckoo-search settings; ``levy_scale=None`` resolves to 0.01 * (m - 1)."""
+    """Cuckoo-search settings; ``levy_scale=None`` resolves to 0.01 * (m - 1).
+
+    The Lévy exponent is fixed at ``LEVY_BETA`` and the archive at ``ARCHIVE_CAP``.
+    """
 
     pop_size: int = 100
     max_cycles: int = 500
     p_a: float = 0.25
-    levy_beta: float = 1.5
     levy_scale: float | None = None
     seed: int = 0
     weights: ScalarWeights = field(default_factory=ScalarWeights)
@@ -66,7 +71,6 @@ class SolverConfig:
     penalty_b: float = 0.05
     la_applies_to: str = "both"
     abandon_strategy: str = "worst_ranked"
-    archive_cap: int = 100
 
     def __post_init__(self) -> None:
         if self.pop_size < 2:
@@ -75,18 +79,18 @@ class SolverConfig:
             raise ValueError("max_cycles must be non-negative")
         if not 0.0 <= self.p_a <= 1.0:
             raise ValueError("p_a must lie in [0, 1]")
-        if not 1.0 < self.levy_beta <= 2.0:
-            raise ValueError("levy_beta must lie in (1, 2]")
-        if self.levy_scale is not None and self.levy_scale <= 0.0:
-            raise ValueError("levy_scale must be positive")
+        if self.levy_scale is not None and not (math.isfinite(self.levy_scale) and self.levy_scale > 0.0):
+            raise ValueError("levy_scale must be finite and positive")
         if not 0.0 <= self.la_fraction <= 1.0:
             raise ValueError("la_fraction must lie in [0, 1]")
+        if not 0.0 < self.reward_a < 1.0:
+            raise ValueError("reward_a must lie in (0, 1)")
+        if not 0.0 <= self.penalty_b < 1.0:
+            raise ValueError("penalty_b must lie in [0, 1)")
         if self.la_applies_to not in LA_APPLIES_CHOICES:
             raise ValueError(f"la_applies_to must be one of {LA_APPLIES_CHOICES}")
         if self.abandon_strategy not in ABANDON_CHOICES:
             raise ValueError(f"abandon_strategy must be one of {ABANDON_CHOICES}")
-        if self.archive_cap < 1:
-            raise ValueError("archive_cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -415,16 +419,15 @@ class _Run:
     ``evaluate`` decodes positions, repairs the infeasible rows as one batch
     and scores them; ``record`` tracks the best-so-far (feasible first),
     offers the batch to the archive and, per cycle, logs the history and the
-    trace row; ``result`` assembles the ``SolveResult``.  ``config`` is any
-    solver config: only its ``weights`` and ``archive_cap`` are read.
+    trace row; ``result`` assembles the ``SolveResult``.
     """
 
-    def __init__(self, problem: PlacementProblem, config, trace: TextIO | None) -> None:
+    def __init__(self, problem: PlacementProblem, weights: ScalarWeights, trace: TextIO | None) -> None:
         self.t0 = time.perf_counter()
         self.problem = problem
-        self.weights = config.weights
+        self.weights = weights
         self.trace = trace
-        self.archive = ParetoArchive(config.archive_cap)
+        self.archive = ParetoArchive(ARCHIVE_CAP)
         self.history: list[float] = []
         self.scalar = math.inf
         self.best: tuple | None = None
@@ -513,7 +516,7 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
     scalar-best and scalar-worst placements, and the whole population is
     offered to the non-dominated archive.
     """
-    run = _Run(problem, config, trace)
+    run = _Run(problem, config.weights, trace)
     m, n = problem.m, problem.n
     if m == 1:
         return run.single_server()
@@ -535,7 +538,7 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
         # 1. The cycle's random draws, before any evaluation.
         X = nests.positions
         gbest = X[int(np.argmin(nests.scalars))]
-        steps = _levy(rng, config.levy_beta, (pop, n))
+        steps = _levy(rng, LEVY_BETA, (pop, n))
         targets = rng.integers(0, pop, pop)
         if n_abandon and config.abandon_strategy == "random":
             doomed = rng.permutation(pop)[:n_abandon]

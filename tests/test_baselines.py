@@ -60,10 +60,6 @@ class TestGa:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GaConfig(pop_size=1)
-        with pytest.raises(ValueError):
-            GaConfig(crossover_rate=1.5)
-        with pytest.raises(ValueError):
-            GaConfig(mutation_rate=-0.1)
 
 
 class TestPso:

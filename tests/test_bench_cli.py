@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,16 @@ class TestRunSweep:
             return (r.algorithm, r.n, r.m, r.rep, r.seed, r.utilization,
                     r.load_balance, r.active_servers, r.resource_waste, r.feasible)
         assert [key(r) for r in serial] == [key(r) for r in parallel]
+
+    def test_parallel_pop_sweep_matches_serial(self):
+        grid = dict(**SMALL, algorithms=("ga", "ffd"))
+        serial = run_pop_sweep(SweepConfig(**grid, jobs=1), (4, 6), vm_count=8)
+        parallel = run_pop_sweep(SweepConfig(**grid, jobs=2), (4, 6), vm_count=8)
+        # wall_time_ms is a measurement, everything else must agree
+        def key(rec):
+            return replace(rec.report, wall_time_ms=0.0), rec.placement, rec.instance_seed, rec.pop
+        assert [key(r) for r in serial] == [key(r) for r in parallel]
+        assert [r.pop for r in serial] == [4, 4, 0, 0, 6, 6, 0, 0]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -320,6 +331,22 @@ class TestCliSolve:
         capsys.readouterr()
         assert trace.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--reward-a", "1.5"), ("--reward-a", "nan"), ("--penalty-b", "1"),
+        ("--levy-scale", "nan"), ("--levy-scale", "inf"),
+    ])
+    def test_bad_lamocs_setting_exit_2_creates_no_file(self, tmp_path, capsys, flag, value):
+        inst = tmp_path / "inst.json"
+        write_split_instance(inst)
+        trace, out = tmp_path / "t.jsonl", tmp_path / "o.json"
+        argv = ["solve", str(inst), "--pop", "4", "--cycles", "2", flag, value,
+                "--trace", str(trace), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not trace.exists() and not out.exists()
+
     def test_bad_config_leaves_no_trace_file(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         write_split_instance(inst)
@@ -409,6 +436,20 @@ class TestCliBench:
         rc = main(["bench", "--vm-counts", "8", "--servers", "9", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("grid", [
+        ["--vm-counts", "8", "--servers", "0"],
+        ["--vm-counts", "8", "--servers", "4", "--pop-sweep", "--pop-sizes", "4", "1", "--pop-sweep-vms", "8"],
+        ["--vm-counts", "8", "--servers", "4", "--pop-sweep", "--pop-sizes", "4", "--pop-sweep-vms", "3"],
+    ])
+    def test_bad_grid_exit_2_writes_nothing(self, tmp_path, capsys, grid):
+        out = tmp_path / "out" / "x.csv"
+        rc = main(["bench", *grid, "--reps", "1", "--algorithms", "ffd", "--cycles", "2", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_creates_output_directory(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "s.csv"

@@ -605,10 +605,16 @@ class TestSolve:
         with pytest.raises(ValueError):
             SolverConfig(p_a=1.5)
         with pytest.raises(ValueError):
-            SolverConfig(levy_beta=1.0)
-        with pytest.raises(ValueError):
             SolverConfig(la_applies_to="sometimes")
         with pytest.raises(ValueError):
             SolverConfig(la_fraction=-0.1)
         with pytest.raises(ValueError):
             SolverConfig(levy_scale=0.0)
+        # the bank's and the step's settings are checked here, before any output is opened
+        for field, value in (
+            ("reward_a", 0.0), ("reward_a", 1.0), ("reward_a", 1.5), ("reward_a", math.nan),
+            ("penalty_b", -0.1), ("penalty_b", 1.0), ("penalty_b", math.nan),
+            ("levy_scale", math.nan), ("levy_scale", math.inf),
+        ):
+            with pytest.raises(ValueError, match=field):
+                SolverConfig(**{field: value})
