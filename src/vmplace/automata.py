@@ -82,7 +82,9 @@ class AutomatonBank:
         return tuple(Automaton(row) for row in self.probs)
 
 
-def init_bank(n: int, m: int, reward_a: float = 0.5, penalty_b: float = 0.05) -> AutomatonBank:
+def init_bank(
+    n: int, m: int, reward_a: float = AutomatonBank.reward_a, penalty_b: float = AutomatonBank.penalty_b
+) -> AutomatonBank:
     """Bank of n automata, each uniform over m actions."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 automata and m >= 1 actions")

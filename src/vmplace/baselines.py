@@ -132,13 +132,11 @@ def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None
     run.record(swarm)
     pbest_X = swarm.positions.copy()
     pbest_scalars = swarm.scalars.copy()
-    gbest = swarm.positions[int(np.argmin(swarm.scalars))].copy()
-    gbest_scalar = float(swarm.scalars.min())
 
     for iteration in range(1, config.iterations + 1):
         r1 = rng.random((pop, n))
         r2 = rng.random((pop, n))
-        V = PSO_INERTIA * V + PSO_C1 * r1 * (pbest_X - X) + PSO_C2 * r2 * (gbest - X)
+        V = PSO_INERTIA * V + PSO_C1 * r1 * (pbest_X - X) + PSO_C2 * r2 * (run.best[0] - X)
         np.clip(V, -v_max, v_max, out=V)
         X = np.clip(X + V, 1.0, float(m))
 
@@ -146,10 +144,6 @@ def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None
         improved = swarm.scalars < pbest_scalars
         pbest_X[improved] = swarm.positions[improved]
         pbest_scalars[improved] = swarm.scalars[improved]
-        i = int(np.argmin(pbest_scalars))
-        if pbest_scalars[i] < gbest_scalar:
-            gbest = pbest_X[i].copy()
-            gbest_scalar = float(pbest_scalars[i])
         run.record(swarm, iteration)
 
     return run.result(config.iterations)

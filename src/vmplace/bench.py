@@ -6,7 +6,7 @@ import csv
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, TextIO
 
@@ -101,11 +101,11 @@ class SweepConfig:
     base_seed: int = 0
     pop_size: int = 100
     cycles: int = 500
-    cpu_range: tuple[float, float] = (10.0, 30.0)
-    mem_range: tuple[float, float] = (16.0, 64.0)
-    demand_floor_ratio: float = 0.9
-    alpha: float = 0.5
-    beta: float = 0.5
+    cpu_range: tuple[float, float] = GeneratorConfig.cpu_range
+    mem_range: tuple[float, float] = GeneratorConfig.mem_range
+    demand_floor_ratio: float = GeneratorConfig.demand_floor_ratio
+    alpha: float = GeneratorConfig.alpha
+    beta: float = GeneratorConfig.beta
     weights: ScalarWeights = field(default_factory=ScalarWeights)
     jobs: int = 1
 
@@ -201,12 +201,11 @@ def placement_metrics(problem: PlacementProblem, placement: Placement) -> dict:
     }
 
 
-def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int, pop_size: int | None = None) -> RunRecord:
+def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int) -> RunRecord:
     """One benchmark cell; the report's metrics come from re-evaluating the placement."""
-    pop = cfg.pop_size if pop_size is None else pop_size
     problem, instance_seed = _instance_for(cfg, vm_count, rep)
     solver_seed = derive_seed(cfg.base_seed, vm_count, algorithm, rep)
-    config = make_config(algorithm, cfg.cycles, pop_size=pop, seed=solver_seed, weights=cfg.weights)
+    config = make_config(algorithm, cfg.cycles, pop_size=cfg.pop_size, seed=solver_seed, weights=cfg.weights)
     placement, _, wall = run_algorithm(problem, algorithm, config)
     report = RunReport(
         algorithm=algorithm,
@@ -217,44 +216,38 @@ def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int, pop_si
         **placement_metrics(problem, placement),
         wall_time_ms=wall * 1000.0,
     )
-    return RunRecord(report, placement, instance_seed, 0 if config is None else pop)
+    return RunRecord(report, placement, instance_seed, 0 if config is None else cfg.pop_size)
 
 
-def _run_cells(cfg: SweepConfig, cells: list[tuple]) -> list[RunRecord]:
-    """``run_single`` on every cell, in order; ``pool.map`` takes the cells' argument columns."""
+def _run_sweeps(cfgs: list[SweepConfig]) -> list[RunRecord]:
+    """``run_single`` on every (vm_count, algorithm, rep) cell of each config, in order, in one pool.
+
+    ``pool.map`` takes the cells' argument columns; the first config's ``jobs`` sizes the pool.
+    """
+    cells = [
+        (cfg, vm_count, algorithm, rep)
+        for cfg in cfgs
+        for vm_count in cfg.vm_counts
+        for algorithm in cfg.algorithms
+        for rep in range(cfg.reps)
+    ]
     columns = zip(*cells)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if cfgs[0].jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfgs[0].jobs) as pool:
             return list(pool.map(run_single, *columns))
     return list(map(run_single, *columns))
 
 
 def run_sweep(cfg: SweepConfig) -> list[RunRecord]:
     """All (vm_count, algorithm, rep) cells in deterministic order."""
-    cells = [
-        (cfg, vm_count, algorithm, rep)
-        for vm_count in cfg.vm_counts
-        for algorithm in cfg.algorithms
-        for rep in range(cfg.reps)
-    ]
-    return _run_cells(cfg, cells)
+    return _run_sweeps([cfg])
 
 
-def run_pop_sweep(cfg: SweepConfig, pop_sizes: tuple[int, ...], vm_count: int = 100) -> list[RunRecord]:
-    """Population-size sweep at a fixed VM count; the grid is checked before any cell runs."""
+def run_pop_sweep(cfg: SweepConfig, pop_sizes: tuple[int, ...]) -> list[RunRecord]:
+    """``run_sweep`` at each population size in turn, all in one pool; every size is checked before any cell runs."""
     if not pop_sizes:
         raise ValueError("pop_sizes must be non-empty")
-    if min(pop_sizes) < 2:
-        raise ValueError("every pop size must be at least 2")
-    if vm_count < cfg.m:
-        raise ValueError("the pop-sweep vm count must be at least the server count")
-    cells = [
-        (cfg, vm_count, algorithm, rep, pop)
-        for pop in pop_sizes
-        for algorithm in cfg.algorithms
-        for rep in range(cfg.reps)
-    ]
-    return _run_cells(cfg, cells)
+    return _run_sweeps([replace(cfg, pop_size=pop) for pop in pop_sizes])
 
 
 def aggregate(records: list[RunRecord], by: str = "n") -> list[dict]:

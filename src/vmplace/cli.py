@@ -6,12 +6,14 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import bench
 from .baselines import BRUTE_FORCE_LIMIT, brute_force
+from .cuckoo import SolverConfig
 from .instance import (
     GeneratorConfig,
     GeneratorError,
@@ -29,10 +31,26 @@ EXIT_BAD_INPUT = 2
 EXIT_UNKNOWN_ALGORITHM = 3
 EXIT_INFEASIBLE = 4
 
+# Flags whose destination is the config field they set; their defaults are read from that config.
+_GENERATOR_FIELDS = ("seed", "cpu_range", "mem_range", "demand_floor_ratio", "alpha")
+_LAMOCS_FIELDS = ("p_a", "levy_scale", "la_fraction", "reward_a", "penalty_b")
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _pick(source, names: tuple[str, ...]) -> dict:
+    return {name: getattr(source, name) for name in names}
+
+
+def _reject_unknown(algorithms) -> int | None:
+    """EXIT_UNKNOWN_ALGORITHM, after one error line, when a name is not an algorithm; else None."""
+    unknown = [a for a in algorithms if a not in bench.ALGORITHMS]
+    if unknown:
+        return _fail(f"unknown algorithm {unknown[0]!r}; choose from {', '.join(bench.ALGORITHMS)}", EXIT_UNKNOWN_ALGORITHM)
+    return None
 
 
 def _weights_from(args: argparse.Namespace) -> ScalarWeights:
@@ -40,24 +58,17 @@ def _weights_from(args: argparse.Namespace) -> ScalarWeights:
 
 
 def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--w-util", type=float, default=1.0 / 3.0, help="scalarization weight on 1 - utilization")
-    parser.add_argument("--w-lb", type=float, default=1.0 / 3.0, help="scalarization weight on load balance")
-    parser.add_argument("--w-active", type=float, default=1.0 / 3.0, help="scalarization weight on active fraction")
-    parser.add_argument("--infeasibility-penalty", type=float, default=10.0, help="flat penalty for infeasible placements")
+    parser.add_argument("--w-util", type=float, help="scalarization weight on 1 - utilization")
+    parser.add_argument("--w-lb", type=float, help="scalarization weight on load balance")
+    parser.add_argument("--w-active", type=float, help="scalarization weight on active fraction")
+    parser.add_argument("--infeasibility-penalty", type=float, help="flat penalty for infeasible placements")
+    # each flag's destination is the ScalarWeights field it sets
+    parser.set_defaults(**asdict(ScalarWeights()))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        cfg = GeneratorConfig(
-            m=args.servers,
-            n=args.vms,
-            cpu_range=tuple(args.cpu_range),
-            mem_range=tuple(args.mem_range),
-            demand_floor_ratio=args.demand_floor,
-            seed=args.seed,
-            alpha=args.alpha,
-            beta=1.0 - args.alpha,
-        )
+        cfg = GeneratorConfig(m=args.servers, n=args.vms, beta=1.0 - args.alpha, **_pick(args, _GENERATOR_FIELDS))
     except ValueError as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     try:
@@ -76,24 +87,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.algorithm not in bench.ALGORITHMS:
-        return _fail(
-            f"unknown algorithm {args.algorithm!r}; choose from {', '.join(bench.ALGORITHMS)}",
-            EXIT_UNKNOWN_ALGORITHM,
-        )
+    if (code := _reject_unknown([args.algorithm])) is not None:
+        return code
     try:
         problem = read_instance(args.instance)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read instance: {exc}", EXIT_BAD_INPUT)
     fields = {"pop_size": args.pop, "seed": args.seed}
     if args.algorithm == "lamocs":
-        fields.update(
-            p_a=args.pa,
-            levy_scale=args.levy_scale,
-            la_fraction=args.la_fraction,
-            reward_a=args.reward_a,
-            penalty_b=args.penalty_b,
-        )
+        fields.update(_pick(args, _LAMOCS_FIELDS))
     try:
         config = bench.make_config(args.algorithm, args.cycles, weights=_weights_from(args), **fields)
     except ValueError as exc:
@@ -128,9 +130,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if (code := _reject_unknown(args.algorithms)) is not None:
+        return code
     try:
         cfg = bench.SweepConfig(
-            vm_counts=tuple(args.vm_counts),
+            # a pop sweep runs at one VM count, so that is the grid to check and record
+            vm_counts=(args.pop_sweep_vms,) if args.pop_sweep else tuple(args.vm_counts),
             m=args.servers,
             reps=args.reps,
             algorithms=tuple(args.algorithms),
@@ -149,9 +154,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     try:
         if args.pop_sweep:
-            records = bench.run_pop_sweep(cfg, tuple(args.pop_sizes), vm_count=args.pop_sweep_vms)
+            records = bench.run_pop_sweep(cfg, tuple(args.pop_sizes))
             rows = bench.aggregate(records, by="pop")
-            extra = {"mode": "pop_sweep", "pop_sizes": list(args.pop_sizes), "pop_sweep_vms": args.pop_sweep_vms}
+            extra = {"mode": "pop_sweep", "pop_sizes": list(args.pop_sizes)}
         else:
             records = bench.run_sweep(cfg)
             rows = bench.aggregate(records, by="n")
@@ -181,12 +186,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    unknown = [a for a in args.algorithms if a not in bench.ALGORITHMS]
-    if unknown:
-        return _fail(
-            f"unknown algorithm {unknown[0]!r}; choose from {', '.join(bench.ALGORITHMS)}",
-            EXIT_UNKNOWN_ALGORITHM,
-        )
+    if (code := _reject_unknown(args.algorithms)) is not None:
+        return code
     # instances draw m in [2, max_servers] and n in [m + 1, max_vms]
     if args.max_servers < 2:
         return _fail("--max-servers must be at least 2", EXIT_BAD_INPUT)
@@ -247,39 +248,45 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a synthetic instance JSON file")
     p_gen.add_argument("--servers", type=int, required=True, help="number of servers (m)")
     p_gen.add_argument("--vms", type=int, required=True, help="number of VMs (n), at least m")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--cpu-range", type=float, nargs=2, default=(10.0, 30.0), metavar=("LO", "HI"))
-    p_gen.add_argument("--mem-range", type=float, nargs=2, default=(16.0, 64.0), metavar=("LO", "HI"))
-    p_gen.add_argument("--demand-floor", type=float, default=0.9, help="total demand floor as a share of capacity")
-    p_gen.add_argument("--alpha", type=float, default=0.5, help="cpu weight; mem weight is 1 - alpha")
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--cpu-range", type=float, nargs=2, metavar=("LO", "HI"))
+    p_gen.add_argument("--mem-range", type=float, nargs=2, metavar=("LO", "HI"))
+    p_gen.add_argument(
+        "--demand-floor",
+        dest="demand_floor_ratio",
+        metavar="DEMAND_FLOOR",
+        type=float,
+        help="total demand floor as a share of capacity",
+    )
+    p_gen.add_argument("--alpha", type=float, help="cpu weight; mem weight is 1 - alpha")
     p_gen.add_argument("--out", default="instance.json")
-    p_gen.set_defaults(func=cmd_generate)
+    p_gen.set_defaults(func=cmd_generate, **_pick(GeneratorConfig, _GENERATOR_FIELDS))
 
     p_solve = sub.add_parser("solve", help="solve an instance file and print a report")
     p_solve.add_argument("instance", help="instance JSON path")
     p_solve.add_argument("--algorithm", default="lamocs", help="lamocs | ga | pso | ffd")
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--pop", type=int, default=100)
-    p_solve.add_argument("--cycles", type=int, default=500)
-    p_solve.add_argument("--pa", type=float, default=0.25, help="abandonment fraction (lamocs)")
-    p_solve.add_argument("--la-fraction", type=float, default=0.5, help="share of regenerated nests drawn from the automata")
-    p_solve.add_argument("--reward-a", type=float, default=0.5)
-    p_solve.add_argument("--penalty-b", type=float, default=0.05)
-    p_solve.add_argument("--levy-scale", type=float, default=None, help="step scale; default 0.01 * (m - 1)")
+    p_solve.add_argument("--seed", type=int, default=SolverConfig.seed)
+    p_solve.add_argument("--pop", type=int, default=SolverConfig.pop_size)
+    p_solve.add_argument("--cycles", type=int, default=SolverConfig.max_cycles)
+    p_solve.add_argument("--pa", dest="p_a", metavar="PA", type=float, help="abandonment fraction (lamocs)")
+    p_solve.add_argument("--la-fraction", type=float, help="share of regenerated nests drawn from the automata")
+    p_solve.add_argument("--reward-a", type=float)
+    p_solve.add_argument("--penalty-b", type=float)
+    p_solve.add_argument("--levy-scale", type=float, help="step scale; default 0.01 * (m - 1)")
     p_solve.add_argument("--out", default=None, help="write the placement JSON here")
     p_solve.add_argument("--trace", default=None, help="write per-cycle JSONL here")
     _add_weight_flags(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_solve, **_pick(SolverConfig, _LAMOCS_FIELDS))
 
     p_bench = sub.add_parser("bench", help="run a benchmark sweep and write CSV/JSON tables")
-    p_bench.add_argument("--vm-counts", type=int, nargs="+", default=(20, 40, 60, 80, 100))
-    p_bench.add_argument("--servers", type=int, default=20)
-    p_bench.add_argument("--reps", type=int, default=10)
-    p_bench.add_argument("--algorithms", nargs="+", default=("lamocs", "ga", "pso"))
-    p_bench.add_argument("--base-seed", type=int, default=0)
-    p_bench.add_argument("--pop", type=int, default=100)
-    p_bench.add_argument("--cycles", type=int, default=500)
-    p_bench.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_bench.add_argument("--vm-counts", type=int, nargs="+", default=bench.SweepConfig.vm_counts)
+    p_bench.add_argument("--servers", type=int, default=bench.SweepConfig.m)
+    p_bench.add_argument("--reps", type=int, default=bench.SweepConfig.reps)
+    p_bench.add_argument("--algorithms", nargs="+", default=bench.SweepConfig.algorithms)
+    p_bench.add_argument("--base-seed", type=int, default=bench.SweepConfig.base_seed)
+    p_bench.add_argument("--pop", type=int, default=bench.SweepConfig.pop_size)
+    p_bench.add_argument("--cycles", type=int, default=bench.SweepConfig.cycles)
+    p_bench.add_argument("--jobs", type=int, default=bench.SweepConfig.jobs, help="worker processes")
     p_bench.add_argument("--format", choices=("csv", "json"), default="csv")
     p_bench.add_argument("--out", default="results.csv", help="aggregate table path")
     p_bench.add_argument("--raw-out", default=None, help="raw per-run table path")

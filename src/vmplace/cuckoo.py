@@ -67,8 +67,8 @@ class SolverConfig:
     seed: int = 0
     weights: ScalarWeights = field(default_factory=ScalarWeights)
     la_fraction: float = 0.5
-    reward_a: float = 0.5
-    penalty_b: float = 0.05
+    reward_a: float = AutomatonBank.reward_a
+    penalty_b: float = AutomatonBank.penalty_b
     la_applies_to: str = "both"
     abandon_strategy: str = "worst_ranked"
 

@@ -98,8 +98,8 @@ class TestRunSweep:
 
     def test_parallel_pop_sweep_matches_serial(self):
         grid = dict(**SMALL, algorithms=("ga", "ffd"))
-        serial = run_pop_sweep(SweepConfig(**grid, jobs=1), (4, 6), vm_count=8)
-        parallel = run_pop_sweep(SweepConfig(**grid, jobs=2), (4, 6), vm_count=8)
+        serial = run_pop_sweep(SweepConfig(**grid, jobs=1), (4, 6))
+        parallel = run_pop_sweep(SweepConfig(**grid, jobs=2), (4, 6))
         # wall_time_ms is a measurement, everything else must agree
         def key(rec):
             return replace(rec.report, wall_time_ms=0.0), rec.placement, rec.instance_seed, rec.pop
@@ -136,7 +136,7 @@ class TestAggregate:
 
     def test_pop_sweep_grouping(self):
         cfg = SweepConfig(**SMALL, algorithms=("ga",))
-        records = run_pop_sweep(cfg, (4, 6), vm_count=8)
+        records = run_pop_sweep(cfg, (4, 6))
         rows = aggregate(records, by="pop")
         assert [(r["pop"], r["algorithm"]) for r in rows] == [(4, "ga"), (6, "ga")]
         assert all(r["n"] == 8 for r in rows)
@@ -251,12 +251,6 @@ class TestCliSolve:
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
-        capsys.readouterr()
-
-    def test_unknown_algorithm_exit_3(self, tmp_path, capsys):
-        inst = tmp_path / "inst.json"
-        write_split_instance(inst)
-        assert main(["solve", str(inst), "--algorithm", "tabu"]) == 3
         capsys.readouterr()
 
     def test_infeasible_instance_exit_4(self, tmp_path, capsys):
@@ -432,6 +426,19 @@ class TestCliBench:
             header = next(csv.reader(fh))
         assert header[-1] == "pop"
 
+    def test_pop_sweep_checks_and_records_its_own_vm_count(self, tmp_path, capsys):
+        # the default --vm-counts start below --servers 30, but a pop sweep runs only --pop-sweep-vms
+        out = tmp_path / "pop.csv"
+        rc = main([
+            "bench", "--pop-sweep", "--servers", "30", "--pop-sweep-vms", "40", "--pop-sizes", "4",
+            "--reps", "1", "--algorithms", "ffd", "--cycles", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "pop.meta.json").read_text())
+        assert meta["vm_counts"] == [40]
+        assert "pop_sweep_vms" not in meta
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         rc = main(["bench", "--vm-counts", "8", "--servers", "9", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
@@ -498,15 +505,29 @@ class TestCliOracleCheck:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_unknown_algorithm_exit_3(self, capsys):
-        rc = main(["oracle-check", "--count", "1", "--algorithms", "anneal"])
-        assert rc == 3
-        capsys.readouterr()
-
     def test_bad_config_exit_2(self, capsys):
         rc = main(["oracle-check", "--count", "1", "--pop", "1", "--algorithms", "ga"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestCliUnknownAlgorithm:
+    @pytest.mark.parametrize("command", ["solve", "bench", "oracle-check"])
+    def test_exit_3_writes_nothing(self, tmp_path, capsys, command):
+        inst = tmp_path / "inst.json"
+        write_split_instance(inst)
+        out = tmp_path / "out" / "x.json"
+        argv = {
+            "solve": ["solve", str(inst), "--algorithm", "tabu", "--out", str(out)],
+            "bench": ["bench", "--vm-counts", "8", "--servers", "4", "--reps", "1",
+                      "--algorithms", "ffd", "tabu", "--out", str(out)],
+            "oracle-check": ["oracle-check", "--count", "1", "--algorithms", "ffd", "tabu"],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert list(tmp_path.iterdir()) == [inst]
 
 
 class TestEntryPoint:
