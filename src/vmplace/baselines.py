@@ -80,9 +80,15 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
 
     rng = np.random.default_rng(config.seed)
     pop = config.pop_size
-    population = run.evaluate(rng.integers(0, m, (pop, n)) + 1.0)
+    population = run.evaluate_rows(rng.integers(0, m, (pop, n))).copy()
     run.record(population)
 
+    # Per-solve buffers: the children, the second parents' rows, the
+    # mutation draws and one (pop - 1, n) mask.
+    children = np.empty((pop - 1, n), dtype=np.int64)
+    mates = np.empty_like(children)
+    draws = np.empty(children.shape)
+    mask = np.empty(children.shape, dtype=bool)
     cols = np.arange(n)
     for generation in range(1, config.generations + 1):
         rows, scalars = population.rows, population.scalars
@@ -90,20 +96,21 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
         tours = rng.integers(0, pop, (pop - 1, 4))
         first = np.where(scalars[tours[:, 0]] <= scalars[tours[:, 1]], tours[:, 0], tours[:, 1])
         second = np.where(scalars[tours[:, 2]] <= scalars[tours[:, 3]], tours[:, 2], tours[:, 3])
-        children = rows[first].copy()
+        rows.take(first, axis=0, out=children, mode="clip")
         crossed = rng.random(pop - 1) < GA_CROSSOVER_RATE
         if n >= 2:
             points = rng.integers(1, n, pop - 1)
-            take_second = crossed[:, None] & (cols[None, :] >= points[:, None])
-            children[take_second] = rows[second][take_second]
-        mutate = rng.random((pop - 1, n)) < GA_MUTATION_RATE
-        resets = rng.integers(0, m, (pop - 1, n))
-        children[mutate] = resets[mutate]
+            # children take the second parent's genes from their cut point on
+            np.greater_equal(cols, points[:, None], out=mask)
+            mask &= crossed[:, None]
+            np.copyto(children, rows.take(second, axis=0, out=mates, mode="clip"), where=mask)
+        np.less(rng.random(out=draws), GA_MUTATION_RATE, out=mask)
+        np.copyto(children, rng.integers(0, m, (pop - 1, n)), where=mask)
 
-        offspring = run.evaluate(children + 1.0)
-        population = _Batch(
-            *(np.concatenate((col[elite : elite + 1], new)) for col, new in zip(population, offspring))
-        )
+        # the elite moves to row 0 and the scored children fill the rest
+        offspring = run.evaluate_rows(children)
+        population.put(0, population, elite)
+        population.put(slice(1, None), offspring, slice(None))
         run.record(population, generation)
 
     return run.result(config.generations)
@@ -133,20 +140,38 @@ def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None
     pbest_X = swarm.positions.copy()
     pbest_scalars = swarm.scalars.copy()
 
+    r1, r2, gap = np.empty((pop, n)), np.empty((pop, n)), np.empty((pop, n))
     for iteration in range(1, config.iterations + 1):
-        r1 = rng.random((pop, n))
-        r2 = rng.random((pop, n))
-        V = PSO_INERTIA * V + PSO_C1 * r1 * (pbest_X - X) + PSO_C2 * r2 * (run.best[0] - X)
-        np.clip(V, -v_max, v_max, out=V)
-        X = np.clip(X + V, 1.0, float(m))
+        rng.random(out=r1)
+        rng.random(out=r2)
+        _pso_move(X, V, pbest_X, run.best[0], r1, r2, gap, v_max, m)
 
         swarm = run.evaluate(X)
         improved = swarm.scalars < pbest_scalars
-        pbest_X[improved] = swarm.positions[improved]
+        np.copyto(pbest_X, swarm.positions, where=improved[:, None])
         pbest_scalars[improved] = swarm.scalars[improved]
         run.record(swarm, iteration)
 
     return run.result(config.iterations)
+
+
+def _pso_move(X, V, pbest_X, gbest, r1, r2, gap, v_max: float, m: int) -> None:
+    """Move the swarm in place: ``V = w V + c1 r1 (pbest_X - X) + c2 r2 (gbest - X)``.
+
+    ``V`` is clamped to ``[-v_max, v_max]``, then ``X = clip(X + V, 1, m)``.
+    The float operations run in the expression's order; ``r1``, ``r2`` and
+    ``gap`` are overwritten.
+    """
+    V *= PSO_INERTIA
+    r1 *= PSO_C1
+    r1 *= np.subtract(pbest_X, X, out=gap)
+    V += r1
+    r2 *= PSO_C2
+    r2 *= np.subtract(gbest, X, out=gap)
+    V += r2
+    np.clip(V, -v_max, v_max, out=V)
+    X += V
+    np.clip(X, 1.0, float(m), out=X)
 
 
 def solve_ffd(problem: PlacementProblem) -> Placement:

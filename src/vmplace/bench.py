@@ -244,10 +244,17 @@ def run_sweep(cfg: SweepConfig) -> list[RunRecord]:
 
 
 def run_pop_sweep(cfg: SweepConfig, pop_sizes: tuple[int, ...]) -> list[RunRecord]:
-    """``run_sweep`` at each population size in turn, all in one pool; every size is checked before any cell runs."""
+    """``run_sweep`` at each population size in turn, all in one pool; every size is checked before any cell runs.
+
+    An algorithm without a population (ffd) runs at the first size only:
+    every other size would repeat the same runs.
+    """
     if not pop_sizes:
         raise ValueError("pop_sizes must be non-empty")
-    return _run_sweeps([replace(cfg, pop_size=pop) for pop in pop_sizes])
+    searched = tuple(a for a in cfg.algorithms if ALGORITHM_TABLE[a].config is not None)
+    return _run_sweeps([
+        replace(cfg, pop_size=pop, algorithms=searched if i else cfg.algorithms) for i, pop in enumerate(pop_sizes)
+    ])
 
 
 def aggregate(records: list[RunRecord], by: str = "n") -> list[dict]:

@@ -75,7 +75,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         problem = generate_instance(cfg)
     except GeneratorError as exc:
         return _fail(str(exc), EXIT_FAILURE)
-    write_instance(problem, args.out)
+    try:
+        write_instance(problem, args.out)
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}", EXIT_BAD_INPUT)
     cap = total_capacity(problem)
     demand_cpu = float(problem.vm_cpu.sum())
     demand_mem = float(problem.vm_mem.sum())

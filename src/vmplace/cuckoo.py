@@ -14,6 +14,7 @@ from .automata import AutomatonBank, init_bank, sample_assignments, update_from_
 from .instance import Placement, PlacementProblem
 from .objectives import (
     BatchObjectives,
+    LoadWork,
     ObjectiveVector,
     ScalarWeights,
     batch_loads,
@@ -116,9 +117,18 @@ def decode(position, m: int) -> Placement:
     return Placement(tuple(int(v) + 1 for v in a0))
 
 
-def _decode0(position: np.ndarray, m: int) -> np.ndarray:
-    rounded = np.floor(position + 0.5)
-    return np.clip(rounded, 1.0, float(m)).astype(np.int64) - 1
+def _decode0(
+    position: np.ndarray, m: int, *, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """0-based rows of ``position``, written into ``out``; ``scratch`` takes the float steps."""
+    rounded = np.add(position, 0.5, out=scratch)
+    np.floor(rounded, out=rounded)
+    np.clip(rounded, 1.0, float(m), out=rounded)
+    if out is None:
+        out = np.empty(rounded.shape, dtype=np.int64)
+    np.copyto(out, rounded, casting="unsafe")
+    out -= 1
+    return out
 
 
 def _mantegna_sigma(beta: float) -> float:
@@ -127,13 +137,26 @@ def _mantegna_sigma(beta: float) -> float:
     return (num / den) ** (1.0 / beta)
 
 
-def _levy(rng: np.random.Generator, beta: float, shape: tuple[int, ...]) -> np.ndarray:
-    """Heavy-tailed steps u / |v|^(1/beta) of ``shape``, with the stable-matching sigma for u."""
+def _levy(rng: np.random.Generator, beta: float, out) -> np.ndarray:
+    """Heavy-tailed steps u / |v|^(1/beta), with the stable-matching sigma for u.
+
+    ``out`` is a ``(2, *shape)`` float buffer, or ``shape`` to allocate one:
+    u is drawn into ``out[0]`` and v into ``out[1]``, and the steps are
+    returned in ``out[0]``.  The draws and float operations are those of
+    ``rng.normal(0.0, sigma, shape) / np.abs(rng.normal(0.0, 1.0, shape)) ** (1 / beta)``.
+    """
     if not 1.0 < beta <= 2.0:
         raise ValueError("levy beta must lie in (1, 2]")
-    u = rng.normal(0.0, _mantegna_sigma(beta), shape)
-    v = rng.normal(0.0, 1.0, shape)
-    return u / np.abs(v) ** (1.0 / beta)
+    if not isinstance(out, np.ndarray):
+        out = np.empty((2, *out))
+    u, v = out
+    rng.standard_normal(out=u)
+    u *= _mantegna_sigma(beta)
+    rng.standard_normal(out=v)
+    np.abs(v, out=v)
+    v **= 1.0 / beta
+    u /= v
+    return u
 
 
 def repair(problem: PlacementProblem, placement: Placement) -> Placement:
@@ -271,31 +294,51 @@ def _repair_rows(
     return changed
 
 
+class _Workspace(LoadWork):
+    """``batch_loads``' buffers plus the ones an evaluate reuses, for up to ``size`` rows.
+
+    ``rows`` takes decoded rows, ``positions`` the snapped positions (and the
+    decode's float steps), and ``spare`` the rows under repair.
+    """
+
+    def __init__(self, problem: PlacementProblem, size: int) -> None:
+        super().__init__(problem, size)
+        self.rows = np.empty((size, problem.n), dtype=np.int64)
+        self.spare = np.empty_like(self.rows)
+        self.positions = np.empty((size, problem.n))
+
+
 def _evaluate_rows(
     problem: PlacementProblem,
     rows: np.ndarray,
     weights: ScalarWeights,
-) -> tuple[BatchObjectives, np.ndarray]:
+    *,
+    work: _Workspace | None = None,
+) -> tuple[np.ndarray, BatchObjectives, np.ndarray]:
     """Repair the infeasible rows in place, then score the batch.
 
-    Returns the objective columns and the scalar column.  Loads of rows the
-    repair modified are recomputed from scratch so scores match a
-    from-scratch evaluation bit for bit.
+    Returns the indices of the rows the repair changed, the objective
+    columns and the scalar column.  Loads of the changed rows are recomputed
+    from scratch so scores match a from-scratch evaluation bit for bit.
     """
-    cpu_used, mem_used, counts = batch_loads(problem, rows)
+    if work is None:
+        work = _Workspace(problem, rows.shape[0])
+    cpu_used, mem_used, counts = batch_loads(problem, rows, work=work)
     bad = np.flatnonzero(~(
         (cpu_used <= problem.server_cpu).all(axis=1)
         & (mem_used <= problem.server_mem).all(axis=1)
     ))
+    changed = bad[:0]
     if bad.size:
-        repaired = rows[bad]
-        changed = _repair_rows(problem, repaired, cpu_used[bad], mem_used[bad])
-        if changed.any():
-            idx = bad[changed]
-            rows[idx] = repaired[changed]
-            cpu_used[idx], mem_used[idx], counts[idx] = batch_loads(problem, rows[idx])
+        repaired = rows.take(bad, axis=0, out=work.spare[: bad.size], mode="clip")
+        moved = _repair_rows(problem, repaired, cpu_used[bad], mem_used[bad])
+        changed = bad[moved]
+        if changed.size:
+            fixed = repaired[moved]
+            rows[changed] = fixed
+            cpu_used[changed], mem_used[changed], counts[changed] = batch_loads(problem, fixed, work=work)
     objs = batch_objectives(problem, cpu_used, mem_used, counts)
-    return objs, batch_scalarize(objs, weights)
+    return changed, objs, batch_scalarize(objs, weights)
 
 
 def _weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -400,6 +443,9 @@ class _Batch(NamedTuple):
         """Copies of entry ``i``: position, row, objective vector and scalar."""
         return self.positions[i].copy(), self.rows[i].copy(), self.vector(i), float(self.scalars[i])
 
+    def copy(self) -> _Batch:
+        return _Batch(*(column.copy() for column in self))
+
     def put(self, at, other: _Batch, idx) -> None:
         """Overwrite entries ``at`` of every column with entries ``idx`` of ``other``."""
         for dst, src in zip(self, other):
@@ -416,10 +462,16 @@ def _offer_batch(archive: ParetoArchive, batch: _Batch) -> None:
 class _Run:
     """The bookkeeping every population solver shares around its move operator.
 
-    ``evaluate`` decodes positions, repairs the infeasible rows as one batch
-    and scores them; ``record`` tracks the best-so-far (feasible first),
-    offers the batch to the archive and, per cycle, logs the history and the
-    trace row; ``result`` assembles the ``SolveResult``.
+    ``evaluate_rows`` repairs a batch of 0-based rows in place, the
+    infeasible ones as one batch, and scores them; ``evaluate`` decodes
+    positions into rows first.  ``record`` tracks the best-so-far (feasible
+    first), offers the batch to the archive and, per cycle, logs the history
+    and the trace row; ``result`` assembles the ``SolveResult``.
+
+    A returned batch's positions, and the rows ``evaluate`` decodes, live in
+    the run's per-solve workspace: they are valid until the next evaluate,
+    so a solver copies what it keeps.  ``positions`` passed to ``evaluate``
+    must not be the workspace's own.
     """
 
     def __init__(self, problem: PlacementProblem, weights: ScalarWeights, trace: TextIO | None) -> None:
@@ -433,13 +485,35 @@ class _Run:
         self.best: tuple | None = None
         self.feasible_scalar = math.inf
         self.feasible_best: tuple | None = None
+        self._work: _Workspace | None = None
+
+    def _workspace(self, k: int) -> _Workspace:
+        if self._work is None or self._work.size < k:
+            self._work = _Workspace(self.problem, k)
+        return self._work
+
+    def evaluate_rows(self, rows: np.ndarray) -> _Batch:
+        """Repair and score 0-based ``rows`` in place; the positions are ``rows + 1``."""
+        work = self._workspace(rows.shape[0])
+        _, objs, scalars = _evaluate_rows(self.problem, rows, self.weights, work=work)
+        return _Batch(np.add(rows, 1.0, out=work.positions[: rows.shape[0]]), rows, *objs, scalars)
 
     def evaluate(self, positions: np.ndarray) -> _Batch:
-        """Score ``positions``; coordinates the repair moved snap onto their new server."""
-        rows = _decode0(positions, self.problem.m)
-        before = rows.copy()
-        objs, scalars = _evaluate_rows(self.problem, rows, self.weights)
-        return _Batch(np.where(rows != before, rows + 1.0, positions), rows, *objs, scalars)
+        """Score ``positions``; coordinates the repair moved snap onto their new server.
+
+        Only the rows the repair changed are decoded again to find those
+        coordinates.
+        """
+        k, m = positions.shape[0], self.problem.m
+        work = self._workspace(k)
+        snapped = work.positions[:k]
+        rows = _decode0(positions, m, out=work.rows[:k], scratch=snapped)
+        changed, objs, scalars = _evaluate_rows(self.problem, rows, self.weights, work=work)
+        np.copyto(snapped, positions)
+        if changed.size:
+            old, new = positions[changed], rows[changed]
+            snapped[changed] = np.where(new != _decode0(old, m), new + 1.0, old)
+        return _Batch(snapped, rows, *objs, scalars)
 
     def record(self, batch: _Batch, cycle: int = 0) -> None:
         """Update the best-so-far and the archive; from cycle 1 on, log history and trace."""
@@ -469,19 +543,19 @@ class _Run:
 
     def single_server(self) -> SolveResult:
         """With one server every VM sits on it: score that placement and stop."""
-        self.record(self.evaluate(np.ones((1, self.problem.n))))
+        self.record(self.evaluate_rows(np.zeros((1, self.problem.n), dtype=np.int64)))
         self.history.append(self.scalar)
         return self.result(0)
 
 
-def _draw_positions(bank: AutomatonBank, rng: np.random.Generator, k: int, k_la: int) -> np.ndarray:
-    """k positions: the first ``k_la`` sampled from the bank, the rest uniform over [1, m]."""
-    X = np.empty((k, bank.n))
+def _draw_positions(bank: AutomatonBank, rng: np.random.Generator, out: np.ndarray, k_la: int) -> np.ndarray:
+    """Fill the rows of ``out``: the first ``k_la`` sampled from the bank, the rest uniform over [1, m]."""
+    k = out.shape[0]
     if k_la:
-        X[:k_la] = sample_assignments(bank, k_la, rng) + 1.0
+        out[:k_la] = sample_assignments(bank, k_la, rng) + 1.0
     if k_la < k:
-        X[k_la:] = rng.uniform(1.0, float(bank.m), (k - k_la, bank.n))
-    return X
+        out[k_la:] = rng.uniform(1.0, float(bank.m), (k - k_la, bank.n))
+    return out
 
 
 def _accept(nests: _Batch, prop: _Batch, targets: np.ndarray) -> None:
@@ -531,25 +605,36 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
     n_la = math.ceil(config.la_fraction * n_abandon) if la_regenerated else 0
 
     seed_la = math.ceil(config.la_fraction * pop) if la_initial else 0
-    nests = run.evaluate(_draw_positions(bank, rng, pop, seed_la))
+    nests = run.evaluate(_draw_positions(bank, rng, np.empty((pop, n)), seed_la)).copy()
     run.record(nests)
 
+    # Per-solve buffers: the cycle's candidates (proposals, then regenerated
+    # positions), the Lévy draws and the NaN mask of the proposals.
+    candidates = np.empty((pop + n_abandon, n))
+    proposals, fresh = candidates[:pop], candidates[pop:]
+    draws = np.empty((2, pop, n))
+    stuck = np.empty((pop, n), dtype=bool)
     for cycle in range(1, config.max_cycles + 1):
         # 1. The cycle's random draws, before any evaluation.
         X = nests.positions
         gbest = X[int(np.argmin(nests.scalars))]
-        steps = _levy(rng, LEVY_BETA, (pop, n))
+        steps = _levy(rng, LEVY_BETA, draws)
         targets = rng.integers(0, pop, pop)
         if n_abandon and config.abandon_strategy == "random":
             doomed = rng.permutation(pop)[:n_abandon]
-        fresh = _draw_positions(bank, rng, n_abandon, n_la)
+        _draw_positions(bank, rng, fresh, n_la)
 
         # 2. One evaluation: the Lévy proposals, then the regenerated positions.
+        # In place, this is clip(X + scale * steps * (X - gbest), 1, m).
+        np.subtract(X, gbest, out=proposals)
+        steps *= scale
         # an infinite step times a zero distance is NaN: that coordinate stays put
         with np.errstate(invalid="ignore"):
-            proposals = np.clip(X + scale * steps * (X - gbest), 1.0, float(m))
-        np.copyto(proposals, X, where=np.isnan(proposals))
-        batch = run.evaluate(np.vstack((proposals, fresh)))
+            proposals *= steps
+            proposals += X
+            np.clip(proposals, 1.0, float(m), out=proposals)
+        np.copyto(proposals, X, where=np.isnan(proposals, out=stuck))
+        batch = run.evaluate(candidates)
 
         # 3. Acceptance, each proposal judged against its target nest.
         _accept(nests, _Batch(*(column[:pop] for column in batch)), targets)

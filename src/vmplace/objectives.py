@@ -74,15 +74,38 @@ def _assign0(problem: PlacementProblem, placement: Placement) -> np.ndarray:
     return np.asarray(placement.assign, dtype=np.int64) - 1
 
 
-def batch_loads(problem: PlacementProblem, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-server cpu/mem totals and VM counts for each 0-based assignment row."""
+class LoadWork:
+    """Buffers ``batch_loads`` reuses for up to ``size`` rows of one problem.
+
+    They hold the flat bin index, the row offsets and the per-row tiles of
+    the VM demands, so repeated calls allocate only their ``(k, m)`` outputs.
+    """
+
+    def __init__(self, problem: PlacementProblem, size: int) -> None:
+        self.size = size
+        self.flat = np.empty((size, problem.n), dtype=np.int64)
+        self.offsets = np.arange(size)[:, None] * problem.m
+        self.cpu = np.tile(problem.vm_cpu, (size, 1))
+        self.mem = np.tile(problem.vm_mem, (size, 1))
+
+
+def batch_loads(
+    problem: PlacementProblem, rows: np.ndarray, *, work: LoadWork | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-server cpu/mem totals and VM counts for each 0-based assignment row.
+
+    ``work`` supplies buffers for at least ``len(rows)`` rows; without it
+    they are allocated for this call.
+    """
     rows = np.atleast_2d(rows)
-    k, n = rows.shape
+    k = rows.shape[0]
+    if work is None:
+        work = LoadWork(problem, k)
+    flat = np.add(rows, work.offsets[:k], out=work.flat[:k]).ravel()
     m = problem.m
-    flat = (rows + np.arange(k)[:, None] * m).ravel()
     size = k * m
-    cpu_used = np.bincount(flat, weights=np.broadcast_to(problem.vm_cpu, (k, n)).ravel(), minlength=size)
-    mem_used = np.bincount(flat, weights=np.broadcast_to(problem.vm_mem, (k, n)).ravel(), minlength=size)
+    cpu_used = np.bincount(flat, weights=work.cpu[:k].ravel(), minlength=size)
+    mem_used = np.bincount(flat, weights=work.mem[:k].ravel(), minlength=size)
     counts = np.bincount(flat, minlength=size)
     return cpu_used.reshape(k, m), mem_used.reshape(k, m), counts.reshape(k, m)
 

@@ -19,7 +19,31 @@ from vmplace import (
     solve_pso,
 )
 
+from vmplace.baselines import PSO_C1, PSO_C2, PSO_INERTIA, _pso_move
+
 from conftest import make_problem, random_problem
+
+
+class TestPsoMove:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 9), shape=st.tuples(st.integers(1, 6), st.integers(1, 8)))
+    def test_matches_old_expression(self, seed, m, shape):
+        """Bit for bit the update it replaced, clamps of V and X included."""
+        rng = np.random.default_rng(seed)
+        v_max = 0.5 * (m - 1)
+        X = rng.uniform(1.0, float(m), shape)
+        V = rng.uniform(-1.5 * v_max, 1.5 * v_max, shape)
+        pbest_X = rng.uniform(1.0, float(m), shape)
+        gbest = rng.uniform(1.0, float(m), shape[1])
+        r1, r2 = rng.random(shape), rng.random(shape)
+
+        V_old = PSO_INERTIA * V + PSO_C1 * r1 * (pbest_X - X) + PSO_C2 * r2 * (gbest - X)
+        np.clip(V_old, -v_max, v_max, out=V_old)
+        X_old = np.clip(X + V_old, 1.0, float(m))
+
+        _pso_move(X, V, pbest_X, gbest, r1, r2, np.empty(shape), v_max, m)
+        assert X.tobytes() == X_old.tobytes()
+        assert V.tobytes() == V_old.tobytes()
 
 
 class TestGa:

@@ -104,7 +104,8 @@ class TestRunSweep:
         def key(rec):
             return replace(rec.report, wall_time_ms=0.0), rec.placement, rec.instance_seed, rec.pop
         assert [key(r) for r in serial] == [key(r) for r in parallel]
-        assert [r.pop for r in serial] == [4, 4, 0, 0, 6, 6, 0, 0]
+        # ffd has no population, so it runs at the first size only
+        assert [r.pop for r in serial] == [4, 4, 0, 0, 6, 6]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -140,6 +141,13 @@ class TestAggregate:
         rows = aggregate(records, by="pop")
         assert [(r["pop"], r["algorithm"]) for r in rows] == [(4, "ga"), (6, "ga")]
         assert all(r["n"] == 8 for r in rows)
+
+    def test_pop_sweep_counts_each_run_once(self):
+        cfg = SweepConfig(**SMALL, algorithms=("lamocs", "ffd"))
+        records = run_pop_sweep(replace(cfg, cycles=2), (4, 6))
+        rows = aggregate(records, by="pop")
+        assert [(r["pop"], r["algorithm"]) for r in rows] == [(4, "lamocs"), (0, "ffd"), (6, "lamocs")]
+        assert [r["runs"] for r in rows] == [cfg.reps] * 3
 
 
 class TestWriters:
@@ -210,6 +218,15 @@ class TestCliGenerate:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_output_exit_2_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.json"
+        rc = main(["generate", "--servers", "3", "--vms", "9", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_vms_not_exceeding_servers(self, tmp_path, capsys):
         rc = main(["generate", "--servers", "20", "--vms", "5", "--out", str(tmp_path / "x.json")])

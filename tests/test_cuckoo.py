@@ -31,8 +31,9 @@ from vmplace.cuckoo import (
     _mantegna_sigma,
     _repair_row,
     _repair_rows,
+    _Run,
 )
-from vmplace.objectives import ObjectiveVector, batch_loads
+from vmplace.objectives import ObjectiveVector, batch_loads, batch_objectives, batch_scalarize
 
 from conftest import make_problem, random_problem
 
@@ -76,9 +77,10 @@ class TestLevyStep:
             def __init__(self):
                 self.calls = 0
 
-            def normal(self, loc, scale, shape):
+            def standard_normal(self, out):
                 self.calls += 1
-                return np.zeros(shape) if self.calls == 1 else np.ones(shape)
+                out[...] = 0.0 if self.calls == 1 else 1.0
+                return out
 
         steps = _levy(StubRng(), 1.5, (4,))
         assert np.all(steps == 0.0)
@@ -245,10 +247,13 @@ class TestEvaluateRows:
             # a repaired copy is often feasible, so the batch mixes both kinds
             rows[0] = np.array(repair(p, Placement(tuple(int(v) + 1 for v in rows[1]))).assign) - 1
             before = rows.copy()
-            objs, scalars = _evaluate_rows(p, rows, weights)
+            changed, objs, scalars = _evaluate_rows(p, rows, weights)
+            repaired = []
             for r, row in enumerate(before):
                 placement = Placement(tuple(int(v) + 1 for v in row))
                 fixed = repair(p, placement)
+                if fixed is not placement:
+                    repaired.append(r)
                 vector = evaluate(p, fixed)
                 assert tuple(int(v) + 1 for v in rows[r]) == fixed.assign
                 assert (objs.utilization[r], objs.load_balance[r]) == (vector.utilization, vector.load_balance)
@@ -258,7 +263,152 @@ class TestEvaluateRows:
                     seen["feasible"] += 1
                 else:
                     seen["repaired" if fixed is not placement else "gave_up"] += 1
+            # the returned indices are exactly the rows the repair changed
+            assert changed.tolist() == repaired
         assert min(seen.values()) > 0, seen
+
+
+# Literal copies of the engine before evaluation took 0-based rows natively
+# and reused per-solve buffers: the references for the bit-for-bit tests.
+def _old_batch_loads(problem, rows):
+    rows = np.atleast_2d(rows)
+    k, n = rows.shape
+    m = problem.m
+    flat = (rows + np.arange(k)[:, None] * m).ravel()
+    size = k * m
+    cpu_used = np.bincount(flat, weights=np.broadcast_to(problem.vm_cpu, (k, n)).ravel(), minlength=size)
+    mem_used = np.bincount(flat, weights=np.broadcast_to(problem.vm_mem, (k, n)).ravel(), minlength=size)
+    counts = np.bincount(flat, minlength=size)
+    return cpu_used.reshape(k, m), mem_used.reshape(k, m), counts.reshape(k, m)
+
+
+def _old_decode0(position, m):
+    rounded = np.floor(position + 0.5)
+    return np.clip(rounded, 1.0, float(m)).astype(np.int64) - 1
+
+
+def _old_evaluate_rows(problem, rows, weights):
+    cpu_used, mem_used, counts = _old_batch_loads(problem, rows)
+    bad = np.flatnonzero(~(
+        (cpu_used <= problem.server_cpu).all(axis=1)
+        & (mem_used <= problem.server_mem).all(axis=1)
+    ))
+    if bad.size:
+        repaired = rows[bad]
+        changed = _repair_rows(problem, repaired, cpu_used[bad], mem_used[bad])
+        if changed.any():
+            idx = bad[changed]
+            rows[idx] = repaired[changed]
+            cpu_used[idx], mem_used[idx], counts[idx] = _old_batch_loads(problem, rows[idx])
+    objs = batch_objectives(problem, cpu_used, mem_used, counts)
+    return objs, batch_scalarize(objs, weights)
+
+
+def _old_evaluate(problem, weights, positions):
+    rows = _old_decode0(positions, problem.m)
+    before = rows.copy()
+    objs, scalars = _old_evaluate_rows(problem, rows, weights)
+    return _Batch(np.where(rows != before, rows + 1.0, positions), rows, *objs, scalars)
+
+
+def _old_levy(rng, beta, shape):
+    u = rng.normal(0.0, _mantegna_sigma(beta), shape)
+    v = rng.normal(0.0, 1.0, shape)
+    return u / np.abs(v) ** (1.0 / beta)
+
+
+def assert_same_batch(got: _Batch, expected: _Batch):
+    """Every column equal bit for bit, dtypes included."""
+    for name, a, b in zip(_Batch._fields, got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert _bits(a) == _bits(b), name
+
+
+@st.composite
+def mixed_batches(draw):
+    """A problem and rows that always mix a feasible, a repaired and a given-up row.
+
+    Two equal servers host two big and two small VMs.  Big-small pairs fit;
+    two bigs overload a server, and a big fits neither beside the other big
+    nor beside both smalls, so piling the bigs on server 1 gives up at once.
+    Extra servers are too small for a big VM.  Random rows come on top, and
+    the batch is shuffled.
+    """
+    sizes = []
+    for _ in range(2):
+        cap = draw(st.integers(3, 20))
+        big = draw(st.integers(cap // 2 + 1, cap - 1))
+        small = draw(st.integers((cap - big) // 2 + 1, cap - big))
+        sizes.append((cap / 2, big / 2, small / 2))
+    (cpu, big_cpu, small_cpu), (mem, big_mem, small_mem) = sizes
+    extra = [(draw(st.integers(1, int(2 * big_cpu) - 1)) / 2, draw(_SIZES)) for _ in range(draw(st.integers(0, 3)))]
+    problem = make_problem(
+        [(cpu, mem)] * 2 + extra, [(big_cpu, big_mem)] * 2 + [(small_cpu, small_mem)] * 2
+    )
+    m = problem.m
+    random_rows = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=4, max_size=4), max_size=6))
+    rows = [[0, 1, 0, 1], [0, 0, 0, 0], [0, 0, 1, 1], *random_rows]
+    rows = np.array(draw(st.permutations(rows)), dtype=np.int64)
+    return problem, rows, draw(st.integers(0, 2**32 - 1))
+
+
+def _positions(rows: np.ndarray, seed: int) -> np.ndarray:
+    """Positions that decode to ``rows``, with some coordinates outside [1, m] to clip."""
+    rng = np.random.default_rng(seed)
+    positions = rows + 1.0 + rng.uniform(-0.5, 0.5, rows.shape)
+    far = rng.random(rows.shape) < 0.1
+    positions[far] = np.where(rows[far] == 0, -3.0, rows[far] + 4.0)
+    return positions
+
+
+class TestInPlaceEngine:
+    """The row-native, in-place engine against literal copies of the code it replaced."""
+
+    @settings(max_examples=150)
+    @given(case=mixed_batches())
+    def test_evaluate_matches_old_snap(self, case):
+        problem, rows, seed = case
+        weights = ScalarWeights()
+        positions = _positions(rows, seed)
+        given_positions = positions.copy()
+        run = _Run(problem, weights, None)
+        # a smaller batch first, so the run's buffers are reused and regrown
+        for part in (positions[:2], positions, positions[:1]):
+            assert_same_batch(run.evaluate(part), _old_evaluate(problem, weights, part.copy()))
+        assert _bits(positions) == _bits(given_positions)
+
+    @settings(max_examples=150)
+    @given(case=mixed_batches())
+    def test_changed_indices_mix_every_kind(self, case):
+        problem, rows, _ = case
+        cpu, mem, _ = batch_loads(problem, rows)
+        feasible = (cpu <= problem.server_cpu).all(axis=1) & (mem <= problem.server_mem).all(axis=1)
+        before = rows.copy()
+        changed, _, _ = _evaluate_rows(problem, rows, ScalarWeights())
+        moved = np.zeros(len(rows), dtype=bool)
+        moved[changed] = True
+        assert not (moved & feasible).any()
+        assert moved.any() and feasible.any() and (~moved & ~feasible).any()
+        assert _bits(rows[~moved]) == _bits(before[~moved])
+
+    @settings(max_examples=150)
+    @given(case=mixed_batches())
+    def test_evaluate_rows_matches_old_evaluate_of_rows(self, case):
+        problem, rows, _ = case
+        weights = ScalarWeights()
+        run = _Run(problem, weights, None)
+        expected = _old_evaluate(problem, weights, rows + 1.0)
+        assert_same_batch(run.evaluate_rows(rows), expected)
+
+    def test_levy_matches_two_normal_draws(self):
+        for seed in range(300):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            buffer = np.empty((2, 10, 7))
+            for _ in range(3):
+                expected = _old_levy(old, 1.5, (10, 7))
+                steps = _levy(new, 1.5, buffer)
+                assert _bits(steps) == _bits(expected)
+            assert new.bit_generator.state == old.bit_generator.state
 
 
 def _batch(rng: np.random.Generator, scalars: list[float], n: int) -> _Batch:
