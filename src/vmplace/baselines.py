@@ -10,7 +10,7 @@ import numpy as np
 
 # _evaluate_rows is not called here: the solvers evaluate through _Run.  The
 # name stays bound because perfbench/tracing.py patches it in this module.
-from .cuckoo import ParetoArchive, SolveResult, _Batch, _evaluate_rows, _offer_batch, _Run  # noqa: F401
+from .cuckoo import ParetoArchive, SolveResult, _Batch, _evaluate_rows, _Run  # noqa: F401
 from .instance import Placement, PlacementProblem
 from .objectives import ObjectiveVector, ScalarWeights, batch_loads, batch_objectives, batch_scalarize
 
@@ -242,9 +242,7 @@ def brute_force(problem: PlacementProblem, weights: ScalarWeights | None = None)
             best_scalar = float(batch.scalars[i])
             best_row = rows[i].copy()
             best_vector = batch.vector(i)
-        # Uncapped, so the archive never thins and rejection only grows: the
-        # rows rejected up front are exactly those offering would refuse.
-        _offer_batch(archive, batch)
+        archive.offer(batch)
 
     pareto = tuple((nest.decoded, nest.objectives) for nest in archive.nests())
     best = Placement(tuple(int(v) + 1 for v in best_row))

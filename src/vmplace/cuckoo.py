@@ -356,68 +356,73 @@ def _weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class ParetoArchive:
     """Bounded set of mutually non-dominated entries; feasible trumps infeasible.
 
-    At most one entry is kept per distinct objective vector.  When the cap is
-    exceeded, the entry with the smallest nearest-neighbor distance in
-    min-max-normalized objective space is dropped until the cap holds.
-    Members are one ``(k, 4)`` key array for the dominance kernel plus, in the
-    same order, a list of (position, row, objective vector, scalar) entries.
+    At most one entry is kept per distinct objective vector.  Members are four
+    parallel arrays in insertion order: ``(k, 4)`` keys for the dominance
+    kernel, positions, rows and scalars.  Past the cap, the member nearest
+    another in min-max-normalized objective space is dropped until it holds.
     """
 
     def __init__(self, cap: int | None):
         self.cap = cap
         self._keys = np.empty((0, 4))
-        self._entries: list[tuple[np.ndarray, np.ndarray, ObjectiveVector, float]] = []
+        self._positions = self._rows = self._scalars = np.empty(0)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._keys)
 
     def rejects(self, cand: np.ndarray, cand_feas: np.ndarray) -> np.ndarray:
-        """Vectorized pre-check: True where a current member beats or equals the candidate.
-
-        Offering a rejected candidate is a no-op, and rejection only grows as
-        entries are accepted, so survivors of this check can be offered one by
-        one with identical results.
-        """
+        """True where a current member beats or equals the candidate."""
         return _weakly_dominates(self._keys, np.column_stack((cand, cand_feas))).any(axis=0)
 
-    def offer(self, position: np.ndarray, row: np.ndarray, objs: ObjectiveVector, scalar: float) -> bool:
-        """Insert if non-dominated; drops newly dominated members. True when inserted."""
-        key = np.array([[objs.utilization, objs.load_balance, objs.active_fraction, objs.feasible]], dtype=np.float64)
-        if _weakly_dominates(self._keys, key).any():
-            return False
-        # no member equals the candidate now, so weak dominance by it is strict
-        beaten = _weakly_dominates(key, self._keys)[0]
-        if beaten.any():
-            self._keys = self._keys[~beaten]
-            self._entries = [entry for entry, gone in zip(self._entries, beaten) if not gone]
-        self._keys = np.vstack((self._keys, key))
-        vector = ObjectiveVector(
-            float(objs.utilization), float(objs.load_balance), float(objs.active_fraction), bool(objs.feasible)
-        )
-        self._entries.append(
-            (np.array(position, dtype=np.float64), np.array(row, dtype=np.int64), vector, float(scalar))
-        )
-        self._thin()
-        return True
+    def offer(self, batch: _Batch) -> int:
+        """Merge ``batch`` into the archive; returns the number of rows inserted.
 
-    def _thin(self) -> None:
-        while self.cap is not None and len(self._entries) > self.cap:
-            mat = self._keys[:, :3]
+        The rows a member beats or equals are dropped first.  The rest are
+        merged in blocks of at most ``ARCHIVE_CAP`` rows: a row goes in when
+        no other entry beats it strictly and no earlier one equals it, and the
+        members an inserted row beats leave.  Inserted rows are appended in
+        order, and each block is thinned only once merged: while no block takes
+        the archive past its cap, this is offering the rows one at a time.
+        """
+        keys = np.column_stack((batch.utilization, batch.load_balance, batch.active_fraction, batch.feasible))
+        fresh = np.flatnonzero(~_weakly_dominates(self._keys, keys).any(axis=0))
+        inserted = 0
+        for start in range(0, fresh.size, ARCHIVE_CAP):
+            block = fresh[start : start + ARCHIVE_CAP]
+            k = len(self)
+            merged = np.concatenate((self._keys, keys[block]))
+            # Weak dominance is transitive, so one pass over members plus block
+            # finds the survivors: an entry leaves when another beats it
+            # strictly or an earlier one equals it.
+            dom = _weakly_dominates(merged, merged)
+            eq = dom & dom.T
+            kept = np.flatnonzero(~((dom & ~eq).any(axis=0) | np.triu(eq, 1).any(axis=0)))
+            inserted += int(np.count_nonzero(kept >= k))
+            kept = self._thin(merged, kept)
+            self._keys = merged[kept]
+            columns = (self._positions, batch.positions), (self._rows, batch.rows), (self._scalars, batch.scalars)
+            self._positions, self._rows, self._scalars = (
+                (np.concatenate((old, new[block])) if k else new[block])[kept] for old, new in columns)
+        return inserted
+
+    def _thin(self, keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``idx`` less, one at a time, the entry of ``keys`` nearest another, until the cap holds."""
+        while self.cap is not None and idx.size > self.cap:
+            mat = keys[idx, :3]
             span = mat.max(axis=0) - mat.min(axis=0)
             span[span == 0.0] = 1.0
             norm = (mat - mat.min(axis=0)) / span
             diff = norm[:, None, :] - norm[None, :, :]
             dist = np.sqrt((diff * diff).sum(axis=2))
             np.fill_diagonal(dist, np.inf)
-            drop = int(np.argmin(dist.min(axis=1)))
-            self._keys = np.delete(self._keys, drop, axis=0)
-            del self._entries[drop]
+            idx = np.delete(idx, int(np.argmin(dist.min(axis=1))))
+        return idx
 
     def nests(self) -> tuple[Nest, ...]:
-        return tuple(
-            Nest(position, Placement(tuple(int(v) + 1 for v in row)), vector, scalar)
-            for position, row, vector, scalar in self._entries
-        )
+        vectors = zip(*self._keys[:, :3].T.tolist(), self._keys[:, 3].astype(bool).tolist())
+        rows = (self._rows + 1).tolist()
+        return tuple(Nest(position, Placement(tuple(row)), ObjectiveVector(*vector), scalar)
+                     for position, row, vector, scalar in zip(self._positions, rows, vectors, self._scalars.tolist()))
 
 
 class _Batch(NamedTuple):
@@ -450,13 +455,6 @@ class _Batch(NamedTuple):
         """Overwrite entries ``at`` of every column with entries ``idx`` of ``other``."""
         for dst, src in zip(self, other):
             dst[at] = src[idx]
-
-
-def _offer_batch(archive: ParetoArchive, batch: _Batch) -> None:
-    """Offer, in row order, every entry the archive does not reject outright."""
-    cand = np.stack((batch.utilization, batch.load_balance, batch.active_fraction), axis=1)
-    for i in np.flatnonzero(~archive.rejects(cand, batch.feasible)):
-        archive.offer(batch.positions[i], batch.rows[i], batch.vector(i), float(batch.scalars[i]))
 
 
 class _Run:
@@ -528,7 +526,7 @@ class _Run:
             if scalars[i] < self.feasible_scalar:
                 self.feasible_scalar = float(scalars[i])
                 self.feasible_best = batch.entry(i)
-        _offer_batch(self.archive, batch)
+        self.archive.offer(batch)
         if cycle:
             self.history.append(self.scalar)
             if self.trace is not None:

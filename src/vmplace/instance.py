@@ -71,10 +71,7 @@ class PlacementProblem:
             raise ValueError("need at least one server")
         if not self.vms:
             raise ValueError("need at least one VM")
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError("alpha and beta must lie in [0, 1]")
-        if abs(self.alpha + self.beta - 1.0) > _WEIGHT_TOL:
-            raise ValueError("alpha + beta must equal 1")
+        _check_weights(self.alpha, self.beta)
         for server in self.servers:
             if server.cpu <= 0.0 or server.mem <= 0.0:
                 raise ValueError("server capacities must be strictly positive in both resources")
@@ -177,8 +174,15 @@ class GeneratorConfig:
             raise ValueError("need at least as many VMs as servers (n >= m)")
         if not 0.0 < self.demand_floor_ratio < 1.0:
             raise ValueError("demand_floor_ratio must lie in (0, 1)")
-        if abs(self.alpha + self.beta - 1.0) > _WEIGHT_TOL:
-            raise ValueError("alpha + beta must equal 1")
+        _check_weights(self.alpha, self.beta)
+
+
+def _check_weights(alpha: float, beta: float) -> None:
+    """Raise unless alpha and beta lie in [0, 1] (so neither is NaN or infinite) and sum to 1."""
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+        raise ValueError("alpha and beta must lie in [0, 1]")
+    if abs(alpha + beta - 1.0) > _WEIGHT_TOL:
+        raise ValueError("alpha + beta must equal 1")
 
 
 def _checked_range(name: str, rng: tuple[float, float]) -> tuple[float, float]:

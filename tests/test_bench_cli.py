@@ -228,6 +228,15 @@ class TestCliGenerate:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.2", "nan"])
+    def test_alpha_outside_unit_interval_exit_2_writes_nothing(self, tmp_path, capsys, alpha):
+        rc = main(["generate", "--servers", "3", "--vms", "9", f"--alpha={alpha}", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_vms_not_exceeding_servers(self, tmp_path, capsys):
         rc = main(["generate", "--servers", "20", "--vms", "5", "--out", str(tmp_path / "x.json")])
         assert rc == 2

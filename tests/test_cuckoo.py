@@ -574,6 +574,29 @@ def _nest_bits(nest: Nest) -> tuple:
     )
 
 
+def _entry_batch(entries) -> _Batch:
+    """A batch whose rows are the (position, row, objective vector, scalar) ``entries``."""
+    positions, rows, vectors, scalars = zip(*entries)
+    columns = zip(*((v.utilization, v.load_balance, v.active_fraction, v.feasible) for v in vectors))
+    return _Batch(np.array(positions, dtype=np.float64), np.array(rows, dtype=np.int64),
+                  *(np.array(column) for column in columns), np.array(scalars, dtype=np.float64))
+
+
+def _reference_offer(reference: ListParetoArchive, entries) -> int:
+    """Offer ``entries`` one at a time uncapped, then thin: the declared block rule.
+
+    Returns how many of the entries the archive holds before thinning.
+    """
+    cap, reference.cap = reference.cap, None
+    for entry in entries:
+        reference.offer(*entry)
+    reference.cap = cap
+    offered = {entry[0].tobytes() for entry in entries}
+    inserted = sum(position.tobytes() in offered for position in reference._positions)
+    reference._thin()
+    return inserted
+
+
 # Coarse grids make repeated vectors and ties in nearest-neighbour distance common.
 _GRID_VECTORS = st.tuples(
     st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
@@ -586,21 +609,62 @@ _GRID_VECTORS = st.tuples(
 class TestParetoArchive:
     @settings(max_examples=300)
     @given(
-        cap=st.one_of(st.none(), st.integers(1, 5)),
-        offers=st.lists(_GRID_VECTORS, max_size=40),
+        cap=st.one_of(st.none(), st.integers(1, 6)),
+        batches=st.lists(st.lists(_GRID_VECTORS, min_size=1, max_size=12), max_size=10),
         probes=st.lists(_GRID_VECTORS, min_size=1, max_size=6),
     )
-    def test_matches_list_reference(self, cap, offers, probes):
+    def test_matches_list_reference(self, cap, batches, probes):
+        """A batch equals one-by-one offers uncapped, and those offers then thinned under a cap."""
         archive, reference = ParetoArchive(cap), ListParetoArchive(cap)
         cand = np.array([probe[:3] for probe in probes], dtype=np.float64)
         cand_feas = np.array([probe[3] for probe in probes])
-        for i, (u, lb, af, feas) in enumerate(offers):
-            vector = ObjectiveVector(u, lb, af, feas)
-            position, row, scalar = np.array([i + 0.5, -i]), np.array([i, 2 * i]), u - lb + i
-            assert archive.offer(position, row, vector, scalar) == reference.offer(position, row, vector, scalar)
+        i = 0
+        for vectors in batches:
+            entries = []
+            for u, lb, af, feas in vectors:
+                entries.append((np.array([i + 0.5, -i]), np.array([i, 2 * i]), ObjectiveVector(u, lb, af, feas),
+                                u - lb + i))
+                i += 1
+            inserted = archive.offer(_entry_batch(entries))
+            assert type(inserted) is int
+            if len(entries) == 1:
+                assert inserted == reference.offer(*entries[0])
+            else:
+                assert inserted == _reference_offer(reference, entries)
             assert len(archive) == len(reference)
             assert archive.rejects(cand, cand_feas).tolist() == reference.rejects(cand, cand_feas).tolist()
             assert [_nest_bits(n) for n in archive.nests()] == [_nest_bits(n) for n in reference.nests()]
+
+    def test_uncapped_batch_spans_blocks(self):
+        """A batch of more than ``ARCHIVE_CAP`` rows merges block by block, as one-by-one offers do."""
+        rng = np.random.default_rng(3)
+        entries = []
+        for i in range(3 * cuckoo.ARCHIVE_CAP):
+            # distinct points of the plane af = u - lb + 1 trade off; repeats and raised af do not
+            u, lb = rng.integers(0, 20) / 20, rng.integers(0, 10) / 10
+            vector = ObjectiveVector(u, lb, u - lb + 1.0 + 0.1 * (rng.random() < 0.3), True)
+            entries.append((np.array([i + 0.5]), np.array([i]), vector, float(i)))
+        archive, reference = ParetoArchive(None), ListParetoArchive(None)
+        blocks = range(0, len(entries), cuckoo.ARCHIVE_CAP)
+        inserted = sum(_reference_offer(reference, entries[i : i + cuckoo.ARCHIVE_CAP]) for i in blocks)
+        assert archive.offer(_entry_batch(entries)) == inserted
+        assert len(archive) > cuckoo.ARCHIVE_CAP
+        assert [_nest_bits(n) for n in archive.nests()] == [_nest_bits(n) for n in reference.nests()]
+
+    def test_capped_block_is_merged_then_thinned(self):
+        """Past the cap, a block is merged before it is thinned, unlike one-by-one offers."""
+        a, b = ObjectiveVector(0.0, -0.0, 0.25, True), ObjectiveVector(0.25, -0.0, 0.5, True)
+        entries = [(np.array([1.0]), np.array([0]), a, 1.0),
+                   (np.array([2.0]), np.array([1]), b, 2.0),
+                   (np.array([3.0]), np.array([2]), a, 3.0)]
+        archive, one_by_one = ParetoArchive(cap=1), ListParetoArchive(cap=1)
+        archive.offer(_entry_batch(entries[:1]))
+        # the repeat of A is refused, as A is a member, and thinning then drops A
+        assert archive.offer(_entry_batch(entries[1:])) == 1
+        assert [n.decoded.assign for n in archive.nests()] == [(2,)]
+        for entry in entries:
+            one_by_one.offer(*entry)
+        assert [n.decoded.assign for n in one_by_one.nests()] == [(3,)]
 
     def test_mutually_non_dominated(self):
         rng = np.random.default_rng(8)
@@ -627,14 +691,14 @@ class TestParetoArchive:
             u = float(rng.uniform(0, 1))
             # points on a strictly trading-off front so nothing dominates
             vector = ObjectiveVector(u, 0.5 * (1 - u) + 1e-9 * rng.random(), u, True)
-            archive.offer(np.array([1.0]), np.array([0]), vector, u)
+            archive.offer(_entry_batch([(np.array([1.0]), np.array([0]), vector, u)]))
         assert len(archive) <= 5
 
     def test_duplicate_objectives_kept_once(self):
         archive = ParetoArchive(cap=10)
         vector = ObjectiveVector(0.5, 0.1, 0.5, True)
-        assert archive.offer(np.array([1.0]), np.array([0]), vector, 0.3)
-        assert not archive.offer(np.array([2.0]), np.array([1]), vector, 0.3)
+        assert archive.offer(_entry_batch([(np.array([1.0]), np.array([0]), vector, 0.3)]))
+        assert not archive.offer(_entry_batch([(np.array([2.0]), np.array([1]), vector, 0.3)]))
         assert len(archive) == 1
 
 
