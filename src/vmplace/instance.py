@@ -201,8 +201,9 @@ def generate_instance(cfg: GeneratorConfig) -> PlacementProblem:
 
     Server capacities are uniform within the configured ranges.  VM demands
     are drawn per resource below ``0.99 *`` the mean server capacity, then the
-    pool is rescaled (re-clamping any demand pushed over the cap) until the
-    total reaches ``demand_floor_ratio`` of total capacity in both resources.
+    pool is rescaled (re-clamping any demand pushed over the cap and spreading
+    the clamped excess evenly over the demands below it) until the total
+    reaches ``demand_floor_ratio`` of total capacity in both resources.
 
     Deterministic for a fixed seed.  Raises GeneratorError when the rescale
     loop cannot satisfy the floor below the per-VM cap.
@@ -229,7 +230,9 @@ def _draw_demands(rng: np.random.Generator, n: int, capacities: np.ndarray, floo
             demands = demands * (target / total)
         over = demands > cap
         if over.any():
-            under = ~over
+            # a demand already at the cap takes no share of the excess, or
+            # two clamped groups hand it back and forth without settling
+            under = demands < cap
             if not under.any():
                 break
             excess = float((demands[over] - cap).sum())

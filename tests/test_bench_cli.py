@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vmplace import Placement, check_feasible, evaluate, generate_instance, GeneratorConfig
+from vmplace import Placement, check_feasible, evaluate, generate_instance, GeneratorConfig, GeneratorError
+from vmplace import bench
 from vmplace.bench import (
     RAW_COLUMNS,
     SweepConfig,
@@ -492,7 +493,13 @@ class TestCliBench:
         capsys.readouterr()
         assert out.exists() and (out.parent / "s.raw.csv").exists() and (out.parent / "s.meta.json").exists()
 
-    def test_generator_failure_exit_1(self, tmp_path, capsys):
+    def test_generator_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        # bench draws at demand floor 0.9 with n >= m, which the generator
+        # always reaches, so its refusal is injected
+        def refuse(cfg):
+            raise GeneratorError("cannot reach the demand floor")
+
+        monkeypatch.setattr(bench, "generate_instance", refuse)
         rc = main(["bench", "--vm-counts", "3", "--servers", "3", "--reps", "1", "--algorithms", "ffd",
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1

@@ -145,6 +145,12 @@ class TestGenerateInstance:
         with pytest.raises(GeneratorError):
             generate_instance(cfg)
 
+    def test_reachable_floor_with_repeated_clamping(self):
+        # reachable (0.94 * 8 < 0.99 * 9), but clamping spills the excess onto
+        # demands already at the cap; it must go only to those below it
+        cfg = GeneratorConfig(m=8, n=9, seed=16415524, demand_floor_ratio=0.9411955865179567)
+        _check_generator_invariants(generate_instance(cfg), cfg.demand_floor_ratio)
+
     @settings(max_examples=40)
     @given(
         seed=st.integers(0, 2**32 - 1),
