@@ -135,9 +135,11 @@ def penalize(auto: Automaton, action: int, b: float) -> Automaton:
 
 def sample_assignments(bank: AutomatonBank, k: int, rng: np.random.Generator) -> np.ndarray:
     """k placements drawn from the bank as a (k, n) array of 0-based server indices."""
-    cum = np.cumsum(bank.probs, axis=1)
+    # a C-ordered (m, n) copy: counting over the leading axis of the (m, k, n)
+    # comparison then reads contiguous rows, about half the old (k, n, m) cost
+    cum = np.cumsum(bank.probs, axis=1).T.copy()
     u = rng.random((k, bank.n))
-    idx = (cum[None, :, :] <= u[:, :, None]).sum(axis=2)
+    idx = (cum[:, None, :] <= u).sum(axis=0)
     return np.minimum(idx, bank.m - 1)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 # name stays bound because perfbench/tracing.py patches it in this module.
 from .cuckoo import ParetoArchive, SolveResult, _Batch, _evaluate_rows, _Run  # noqa: F401
 from .instance import Placement, PlacementProblem
-from .objectives import ObjectiveVector, ScalarWeights, batch_loads, batch_objectives, batch_scalarize
+from .objectives import ObjectiveVector, ScalarWeights, _fits, _slack, batch_loads, batch_objectives, batch_scalarize
 
 __all__ = [
     "GaConfig",
@@ -187,17 +187,8 @@ def solve_ffd(problem: PlacementProblem) -> Placement:
     mem_used = np.zeros(m)
     assign = np.empty(problem.n, dtype=np.int64)
     for v in order:
-        fits = (cpu_used + problem.vm_cpu[v] <= problem.server_cpu) & (
-            mem_used + problem.vm_mem[v] <= problem.server_mem
-        )
-        if fits.any():
-            j = int(np.argmax(fits))
-        else:
-            slack = (
-                problem.alpha * (problem.server_cpu - cpu_used) / problem.mean_cpu
-                + problem.beta * (problem.server_mem - mem_used) / problem.mean_mem
-            )
-            j = int(np.argmax(slack))
+        fits = _fits(problem, cpu_used + problem.vm_cpu[v], mem_used + problem.vm_mem[v]).all(axis=0)
+        j = int(np.argmax(fits if fits.any() else _slack(problem, cpu_used, mem_used)))
         assign[v] = j
         cpu_used[j] += problem.vm_cpu[v]
         mem_used[j] += problem.vm_mem[v]

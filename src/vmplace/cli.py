@@ -235,8 +235,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             scalar = scalarize(evaluate(problem, placement), weights)
             if abs(scalar - oracle.scalar) <= args.tol:
                 matches[algorithm] += 1
+    if not compared:
+        return _fail(f"no instance with a feasible optimum in {attempts} attempts", EXIT_FAILURE)
     for algorithm in args.algorithms:
-        fraction = matches[algorithm] / compared if compared else 1.0
+        fraction = matches[algorithm] / compared
         print(f"{algorithm}: {matches[algorithm]}/{compared} matched (fraction {fraction:.3f})")
     return EXIT_OK
 

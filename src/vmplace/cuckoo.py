@@ -17,6 +17,9 @@ from .objectives import (
     LoadWork,
     ObjectiveVector,
     ScalarWeights,
+    _fits,
+    _slack,
+    _weakly_dominates,
     batch_loads,
     batch_objectives,
     batch_scalarize,
@@ -187,13 +190,11 @@ def _repair_row(
     and rehosts it on the feasible server with maximum combined slack, so a
     VM moves at most once and the loop is bounded by n moves.
     """
-    server_cpu, server_mem = problem.server_cpu, problem.server_mem
     vm_cpu, vm_mem = problem.vm_cpu, problem.vm_mem
     measure = problem.vm_demand_measure
     changed = False
     for _ in range(problem.n):
-        over = cpu_used > server_cpu
-        over |= mem_used > server_mem
+        over = ~_fits(problem, cpu_used, mem_used).all(axis=0)
         j = int(np.argmax(over))
         if not over[j]:
             break
@@ -203,18 +204,14 @@ def _repair_row(
         cpu_used[j] -= vm_cpu[v]
         mem_used[j] -= vm_mem[v]
         counts[j] -= 1
-        fits = cpu_used + vm_cpu[v] <= server_cpu
-        fits &= mem_used + vm_mem[v] <= server_mem
+        fits = _fits(problem, cpu_used + vm_cpu[v], mem_used + vm_mem[v]).all(axis=0)
         if not fits.any():
             # restore the saved values: subtract-then-add can drift by an ulp
             cpu_used[j] = old_cpu
             mem_used[j] = old_mem
             counts[j] += 1
             break
-        slack = (
-            problem.alpha * (server_cpu - cpu_used) / problem.mean_cpu
-            + problem.beta * (server_mem - mem_used) / problem.mean_mem
-        )
+        slack = _slack(problem, cpu_used, mem_used)
         slack[~fits] = -np.inf
         t = int(np.argmax(slack))
         a0[v] = t
@@ -238,7 +235,9 @@ def _repair_rows(
     match the per-row rule bit for bit.  Each pass makes at most one move per
     live row, with the per-row rule's float operations in the same order.  A
     row leaves the batch once it has no overloaded server or its evicted VM
-    fits nowhere.
+    fits nowhere.  It restates ``_fits`` and ``_slack`` on stacked
+    ``(resource, row, server)`` arrays, so a change to either rule must change
+    this kernel too.
     """
     m, n = problem.m, problem.n
     changed = np.zeros(rows.shape[0], dtype=bool)
@@ -324,10 +323,7 @@ def _evaluate_rows(
     if work is None:
         work = _Workspace(problem, rows.shape[0])
     cpu_used, mem_used, counts = batch_loads(problem, rows, work=work)
-    bad = np.flatnonzero(~(
-        (cpu_used <= problem.server_cpu).all(axis=1)
-        & (mem_used <= problem.server_mem).all(axis=1)
-    ))
+    bad = np.flatnonzero(~_fits(problem, cpu_used, mem_used).all(axis=(0, 2)))
     changed = bad[:0]
     if bad.size:
         repaired = rows.take(bad, axis=0, out=work.spare[: bad.size], mode="clip")
@@ -339,18 +335,6 @@ def _evaluate_rows(
             cpu_used[changed], mem_used[changed], counts[changed] = batch_loads(problem, fixed, work=work)
     objs = batch_objectives(problem, cpu_used, mem_used, counts)
     return changed, objs, batch_scalarize(objs, weights)
-
-
-def _weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(len a, len b)`` matrix: True where key row ``a[i]`` beats or equals ``b[j]``.
-
-    Key rows are (utilization, load balance, active fraction, feasible).
-    Feasible beats infeasible; within a class, a row wins when it is at least
-    as high on utilization and at most as high on the other two.
-    """
-    fa, fb = a[:, 3, None], b[None, :, 3]
-    ge = (a[:, 0, None] >= b[None, :, 0]) & (a[:, 1, None] <= b[None, :, 1]) & (a[:, 2, None] <= b[None, :, 2])
-    return (fa > fb) | ((fa == fb) & ge)
 
 
 class ParetoArchive:
@@ -377,15 +361,15 @@ class ParetoArchive:
     def offer(self, batch: _Batch) -> int:
         """Merge ``batch`` into the archive; returns the number of rows inserted.
 
-        The rows a member beats or equals are dropped first.  The rest are
-        merged in blocks of at most ``ARCHIVE_CAP`` rows: a row goes in when
-        no other entry beats it strictly and no earlier one equals it, and the
-        members an inserted row beats leave.  Inserted rows are appended in
+        First ``rejects`` drops the rows a member beats or equals.  The rest
+        are merged in blocks of at most ``ARCHIVE_CAP`` rows: a row goes in
+        when no other entry beats it strictly and no earlier one equals it, and
+        the members an inserted row beats leave.  Inserted rows are appended in
         order, and each block is thinned only once merged: while no block takes
         the archive past its cap, this is offering the rows one at a time.
         """
         keys = np.column_stack((batch.utilization, batch.load_balance, batch.active_fraction, batch.feasible))
-        fresh = np.flatnonzero(~_weakly_dominates(self._keys, keys).any(axis=0))
+        fresh = np.flatnonzero(~self.rejects(keys[:, :3], keys[:, 3]))
         inserted = 0
         for start in range(0, fresh.size, ARCHIVE_CAP):
             block = fresh[start : start + ARCHIVE_CAP]

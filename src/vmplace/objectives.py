@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -110,24 +110,43 @@ def batch_loads(
     return cpu_used.reshape(k, m), mem_used.reshape(k, m), counts.reshape(k, m)
 
 
+def _fits(problem: PlacementProblem, cpu: np.ndarray, mem: np.ndarray) -> np.ndarray:
+    """The capacity test of ``(..., m)`` loads: ``(2, ...)`` bools, cpu then mem; a load at capacity fits."""
+    return np.array((cpu <= problem.server_cpu, mem <= problem.server_mem))
+
+
+def _utilization(problem: PlacementProblem, cpu: np.ndarray, mem: np.ndarray) -> np.ndarray:
+    """Per-server utilization of ``(..., m)`` cpu and mem loads, weighted by alpha and beta."""
+    return problem.alpha * cpu / problem.server_cpu + problem.beta * mem / problem.server_mem
+
+
+def _slack(problem: PlacementProblem, cpu: np.ndarray, mem: np.ndarray) -> np.ndarray:
+    """Combined free capacity per server, normalized by mean capacity; a moved VM goes where it is largest."""
+    return (
+        problem.alpha * (problem.server_cpu - cpu) / problem.mean_cpu
+        + problem.beta * (problem.server_mem - mem) / problem.mean_mem
+    )
+
+
 def batch_objectives(
     problem: PlacementProblem,
     cpu_used: np.ndarray,
     mem_used: np.ndarray,
     counts: np.ndarray,
 ) -> BatchObjectives:
-    util = problem.alpha * cpu_used / problem.server_cpu + problem.beta * mem_used / problem.server_mem
+    util = _utilization(problem, cpu_used, mem_used)
     active = counts > 0
     active_n = active.sum(axis=1)
     util_mean = (util * active).sum(axis=1) / active_n
     dev = (util - util_mean[:, None]) * active
     load_balance = np.sqrt((dev * dev).sum(axis=1) / active_n)
     active_fraction = active_n / problem.m
-    feasible = (cpu_used <= problem.server_cpu).all(axis=1) & (mem_used <= problem.server_mem).all(axis=1)
+    feasible = _fits(problem, cpu_used, mem_used).all(axis=(0, 2))
     return BatchObjectives(util_mean, load_balance, active_fraction, feasible)
 
 
-def batch_scalarize(objs: BatchObjectives, weights: ScalarWeights) -> np.ndarray:
+def batch_scalarize(objs: BatchObjectives | ObjectiveVector, weights: ScalarWeights) -> np.ndarray:
+    """Weighted score per row, lower is better; each infeasible row adds a flat penalty."""
     base = (
         weights.w_util * (1.0 - objs.utilization)
         + weights.w_lb * objs.load_balance
@@ -144,20 +163,23 @@ def resource_waste(problem: PlacementProblem, placement: Placement) -> float:
     """
     a0 = _assign0(problem, placement)
     cpu_used, mem_used, counts = batch_loads(problem, a0[None, :])
-    util = problem.alpha * cpu_used[0] / problem.server_cpu + problem.beta * mem_used[0] / problem.server_mem
+    util = _utilization(problem, cpu_used[0], mem_used[0])
     return float(np.mean(1.0 - util[counts[0] > 0]))
 
 
 def check_feasible(problem: PlacementProblem, placement: Placement) -> tuple[bool, list[Violation]]:
-    """Capacity check per server and resource; boundary-exact sums are feasible."""
+    """Capacity check per server and resource; boundary-exact sums are feasible.
+
+    Violations come server by server, cpu before mem, each with its excess load.
+    """
     a0 = _assign0(problem, placement)
     cpu_used, mem_used, _ = batch_loads(problem, a0[None, :])
-    violations: list[Violation] = []
-    for j in range(problem.m):
-        if cpu_used[0, j] > problem.servers[j].cpu:
-            violations.append(Violation(j + 1, "cpu", float(cpu_used[0, j] - problem.servers[j].cpu)))
-        if mem_used[0, j] > problem.servers[j].mem:
-            violations.append(Violation(j + 1, "mem", float(mem_used[0, j] - problem.servers[j].mem)))
+    cpu, mem = cpu_used[0], mem_used[0]
+    excess = (cpu - problem.server_cpu, mem - problem.server_mem)
+    servers, resources = np.nonzero(~_fits(problem, cpu, mem).T)
+    violations = [
+        Violation(j + 1, ("cpu", "mem")[r], float(excess[r][j])) for j, r in zip(servers.tolist(), resources.tolist())
+    ]
     return (not violations, violations)
 
 
@@ -173,28 +195,25 @@ def evaluate(problem: PlacementProblem, placement: Placement) -> ObjectiveVector
     )
 
 
+def _weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(len a, len b)`` matrix: True where key row ``a[i]`` beats or equals ``b[j]``.
+
+    Key rows are (utilization, load balance, active fraction, feasible).
+    Feasible beats infeasible; within a class, a row wins when it is at least
+    as high on utilization and at most as high on the other two.
+    """
+    fa, fb = a[:, 3, None], b[None, :, 3]
+    ge = (a[:, 0, None] >= b[None, :, 0]) & (a[:, 1, None] <= b[None, :, 1]) & (a[:, 2, None] <= b[None, :, 2])
+    return (fa > fb) | ((fa == fb) & ge)
+
+
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """Pareto dominance; any feasible solution dominates any infeasible one."""
-    if a.feasible != b.feasible:
-        return a.feasible
-    at_least = (
-        a.utilization >= b.utilization
-        and a.load_balance <= b.load_balance
-        and a.active_fraction <= b.active_fraction
-    )
-    strictly = (
-        a.utilization > b.utilization
-        or a.load_balance < b.load_balance
-        or a.active_fraction < b.active_fraction
-    )
-    return at_least and strictly
+    """Pareto dominance, the strict form of ``_weakly_dominates``; feasible dominates infeasible."""
+    keys = np.array((astuple(a), astuple(b)), dtype=np.float64)
+    weak = _weakly_dominates(keys, keys)
+    return bool(weak[0, 1] and not weak[1, 0])
 
 
 def scalarize(objs: ObjectiveVector, weights: ScalarWeights) -> float:
     """Weighted single score, lower is better; infeasibility adds a flat penalty."""
-    base = (
-        weights.w_util * (1.0 - objs.utilization)
-        + weights.w_lb * objs.load_balance
-        + weights.w_active * objs.active_fraction
-    )
-    return base + (0.0 if objs.feasible else weights.infeasibility_penalty)
+    return float(batch_scalarize(objs, weights))

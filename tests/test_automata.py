@@ -142,6 +142,59 @@ class TestSampling:
         assert np.array_equal(batch[0], single[0])
 
 
+def legacy_sample_assignments(bank, k, rng):
+    """The former sampler: counts over the last axis of a ``(k, n, m)`` comparison."""
+    cum = np.cumsum(bank.probs, axis=1)
+    u = rng.random((k, bank.n))
+    idx = (cum[None, :, :] <= u[:, :, None]).sum(axis=2)
+    return np.minimum(idx, bank.m - 1)
+
+
+class FixedDraws:
+    """Stands in for a generator: ``random`` returns the given draws."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+@st.composite
+def banks_and_draws(draw):
+    """A bank whose rows may hold zero-probability actions, and draws that
+    include the rows' exact cumulative sums."""
+    n, m, k = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    weights = np.array(draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.25, 1.0, 3.0]), min_size=m, max_size=m).filter(any),
+        min_size=n, max_size=n)))
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    cum = np.cumsum(probs, axis=1)
+    u = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n),
+                               min_size=k, max_size=k)))
+    for row in u:
+        for i in range(n):
+            if draw(st.booleans()):
+                row[i] = cum[i, draw(st.integers(0, m - 1))] % 1.0
+    return AutomatonBank(probs), u
+
+
+class TestSampleAssignmentsReference:
+    @settings(max_examples=200)
+    @given(case=banks_and_draws())
+    def test_matches_legacy_draws(self, case):
+        bank, u = case
+        new = sample_assignments(bank, u.shape[0], FixedDraws(u))
+        old = legacy_sample_assignments(bank, u.shape[0], FixedDraws(u))
+        assert new.dtype == old.dtype and new.tolist() == old.tolist()
+
+    def test_matches_legacy_on_generator(self):
+        bank = AutomatonBank(np.array([[0.0, 0.5, 0.0, 0.5], [0.25, 0.25, 0.25, 0.25]]))
+        new = sample_assignments(bank, 50, np.random.default_rng(4))
+        assert new.tolist() == legacy_sample_assignments(bank, 50, np.random.default_rng(4)).tolist()
+
+
 class TestUpdateFromPopulation:
     def test_reward_then_penalize_composite(self):
         # one VM, two servers: reward server 1 (a=0.5) then penalize server 2 (b=0.1)

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vmplace import Placement, check_feasible, evaluate, generate_instance, GeneratorConfig, GeneratorError
-from vmplace import bench
+from vmplace import ObjectiveVector, Placement, check_feasible, evaluate, generate_instance, GeneratorConfig, GeneratorError
+from vmplace import bench, cli
+from vmplace.baselines import BruteForceResult
 from vmplace.bench import (
     RAW_COLUMNS,
     SweepConfig,
@@ -537,6 +538,18 @@ class TestCliOracleCheck:
         rc = main(["oracle-check", "--count", "1", "--max-servers", "3", "--max-vms", "3", "--algorithms", "ffd"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_no_feasible_optimum_exit_1(self, monkeypatch, capsys):
+        def infeasible_optimum(problem, weights=None):
+            vector = ObjectiveVector(1.0, 0.0, 1.0, False)
+            return BruteForceResult(Placement((1,) * problem.n), vector, 10.0, ())
+
+        monkeypatch.setattr(cli, "brute_force", infeasible_optimum)
+        rc = main(["oracle-check", "--count", "2", "--algorithms", "ffd"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no instance with a feasible optimum in 100 attempts\n"
 
     def test_bad_config_exit_2(self, capsys):
         rc = main(["oracle-check", "--count", "1", "--pop", "1", "--algorithms", "ga"])

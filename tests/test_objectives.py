@@ -9,6 +9,7 @@ from vmplace import (
     ObjectiveVector,
     Placement,
     ScalarWeights,
+    Violation,
     check_feasible,
     dominates,
     evaluate,
@@ -31,6 +32,98 @@ def legacy_resource_waste(problem, placement) -> float:
     cpu_used, mem_used, counts = batch_loads(problem, a0[None, :])
     util = problem.alpha * cpu_used[0] / problem.server_cpu + problem.beta * mem_used[0] / problem.server_mem
     return float(np.mean([1.0 - float(u) for u, k in zip(util, counts[0]) if k > 0]))
+
+
+def legacy_check_feasible(problem, placement):
+    """The former per-server loop of ``check_feasible``, kept as its reference."""
+    a0 = np.asarray(placement.assign, dtype=np.int64) - 1
+    cpu_used, mem_used, _ = batch_loads(problem, a0[None, :])
+    violations = []
+    for j in range(problem.m):
+        if cpu_used[0, j] > problem.servers[j].cpu:
+            violations.append(Violation(j + 1, "cpu", float(cpu_used[0, j] - problem.servers[j].cpu)))
+        if mem_used[0, j] > problem.servers[j].mem:
+            violations.append(Violation(j + 1, "mem", float(mem_used[0, j] - problem.servers[j].mem)))
+    return (not violations, violations)
+
+
+def legacy_dominates(a, b):
+    """The former scalar ``dominates``, kept as its reference."""
+    if a.feasible != b.feasible:
+        return a.feasible
+    at_least = (
+        a.utilization >= b.utilization
+        and a.load_balance <= b.load_balance
+        and a.active_fraction <= b.active_fraction
+    )
+    strictly = (
+        a.utilization > b.utilization
+        or a.load_balance < b.load_balance
+        or a.active_fraction < b.active_fraction
+    )
+    return at_least and strictly
+
+
+def legacy_scalarize(objs, weights):
+    """The former scalar ``scalarize``, kept as its reference."""
+    base = (
+        weights.w_util * (1.0 - objs.utilization)
+        + weights.w_lb * objs.load_balance
+        + weights.w_active * objs.active_fraction
+    )
+    return base + (0.0 if objs.feasible else weights.infeasibility_penalty)
+
+
+# Half-integer sizes make loads sum exactly onto a capacity; arbitrary
+# floats give loads that carry rounding error.
+_SIZES = st.one_of(st.integers(1, 16).map(lambda k: k / 2), st.floats(0.1, 9.0))
+
+
+@st.composite
+def placements(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 10))
+    servers = [(draw(_SIZES), draw(_SIZES)) for _ in range(m)]
+    vms = [(draw(_SIZES), draw(_SIZES)) for _ in range(n)]
+    assign = draw(st.lists(st.integers(1, m), min_size=n, max_size=n))
+    return make_problem(servers, vms), Placement(tuple(assign))
+
+
+# Few distinct values, so that vectors tie on some criteria and not others.
+_CRITERION = st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 1.0, 1.5])
+_VECTORS = st.builds(ObjectiveVector, _CRITERION, _CRITERION, _CRITERION, st.booleans())
+
+
+class TestLegacyReference:
+    @settings(max_examples=300)
+    @given(case=placements())
+    def test_check_feasible_matches_loop(self, case):
+        ok, violations = check_feasible(*case)
+        ref_ok, ref_violations = legacy_check_feasible(*case)
+        assert ok is ref_ok
+        assert [(v.server, v.resource) for v in violations] == [(v.server, v.resource) for v in ref_violations]
+        assert [v.excess.hex() for v in violations] == [v.excess.hex() for v in ref_violations]
+        assert all(type(v.excess) is float for v in violations)
+
+    def test_check_feasible_at_and_over_capacity(self):
+        # server 1 exactly full, server 2 over on both resources by 0.5 and 1
+        p, s = placed([(4, 4), (4, 4)], [(2.5, 1.5), (1.5, 2.5), (4.5, 5)], (1, 1, 2))
+        assert check_feasible(p, s) == legacy_check_feasible(p, s) == (False, [(2, "cpu", 0.5), (2, "mem", 1.0)])
+
+    @settings(max_examples=500)
+    @given(a=_VECTORS, b=_VECTORS)
+    def test_dominates_matches_scalar_rule(self, a, b):
+        assert dominates(a, b) is legacy_dominates(a, b)
+        assert dominates(a, a) is legacy_dominates(a, a) is False
+
+    @settings(max_examples=300)
+    @given(objs=_VECTORS, w_util=st.floats(0.0, 1.0), share=st.floats(0.0, 1.0), penalty=st.floats(0.5, 100.0))
+    def test_scalarize_matches_scalar_rule(self, objs, w_util, share, penalty):
+        w_lb = (1.0 - w_util) * share
+        weights = ScalarWeights(w_util, w_lb, 1.0 - w_util - w_lb, penalty)
+        score = scalarize(objs, weights)
+        assert type(score) is float
+        assert score.hex() == legacy_scalarize(objs, weights).hex()
 
 
 class TestServerLoads:

@@ -6,6 +6,7 @@ suite rather than only under ``perfbench/run.py --trace 1``.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import vmplace
@@ -34,3 +35,20 @@ def test_install_then_restore_puts_every_attribute_back():
         tracing.restore(saved)
     for owner, attr, _ in saved:
         assert owner.__dict__[attr] is before[id(owner)][attr]
+
+
+def test_traced_solve_records_archive_offer_and_rejects():
+    """``offer`` makes its member pre-check through ``rejects``, so both spans record calls."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    problem = vmplace.generate_instance(vmplace.GeneratorConfig(m=3, n=6, seed=4))
+    config = vmplace.SolverConfig(pop_size=6, max_cycles=2, seed=1)
+    saved = tracing.install(tracer, vmplace)
+    try:
+        tracing.wrap_solver(tracer, "lamocs", vmplace.cuckoo.solve)(problem, config)
+    finally:
+        tracing.restore(saved)
+    calls = Counter(tracer.names)
+    # one offer for the initial population and one per cycle, each with its pre-check
+    assert calls["cuckoo.archive.offer"] == 3
+    assert calls["cuckoo.archive.rejects"] == 3
