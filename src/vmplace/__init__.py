@@ -24,7 +24,7 @@ from .baselines import (
     solve_ga,
     solve_pso,
 )
-from .bench import RunRecord, RunReport, SweepConfig, derive_seed, run_pop_sweep, run_sweep
+from .bench import RunRecord, RunReport, SweepConfig, derive_seed, run_sweep
 from .cuckoo import Nest, ParetoArchive, SolveResult, SolverConfig, decode, repair, solve
 from .instance import (
     GeneratorConfig,

@@ -140,7 +140,9 @@ def sample_assignments(bank: AutomatonBank, k: int, rng: np.random.Generator) ->
     cum = np.cumsum(bank.probs, axis=1).T.copy()
     u = rng.random((k, bank.n))
     idx = (cum[:, None, :] <= u).sum(axis=0)
-    return np.minimum(idx, bank.m - 1)
+    # a cumsum that rounds below 1 must not let a draw reach a trailing zero-probability action
+    last = bank.m - 1 - np.argmax(bank.probs[:, ::-1] > 0, axis=1)
+    return np.minimum(idx, last)
 
 
 def _checked_row(row, bank: AutomatonBank) -> np.ndarray:

@@ -6,7 +6,8 @@ import csv
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, TextIO
 
@@ -30,7 +31,6 @@ __all__ = [
     "run_algorithm",
     "run_single",
     "run_sweep",
-    "run_pop_sweep",
     "aggregate",
     "write_raw_csv",
     "write_aggregate_csv",
@@ -58,6 +58,8 @@ ALGORITHM_TABLE = {
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 _AGG_METRICS = ("utilization", "load_balance", "active_servers", "resource_waste", "wall_time_ms")
+# the SweepConfig fields that every instance's GeneratorConfig takes as they are
+_GENERATOR_FIELDS = ("m", "cpu_range", "mem_range", "demand_floor_ratio", "alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,7 @@ class RunReport:
     resource_waste: float
     feasible: bool
     wall_time_ms: float
+    pop: int  # population size; 0 for an algorithm without one (ffd)
 
 
 RAW_COLUMNS = tuple(f.name for f in fields(RunReport))
@@ -87,19 +90,21 @@ class RunRecord:
     report: RunReport
     placement: Placement
     instance_seed: int
-    pop: int
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Benchmark sweep settings; defaults reproduce the headline protocol at m=20."""
+    """The sweep grid pop_sizes x vm_counts x algorithms x reps, and its settings.
+
+    Defaults reproduce the headline protocol at m=20.  No axis may repeat a value.
+    """
 
     vm_counts: tuple[int, ...] = (20, 40, 60, 80, 100)
     m: int = 20
     reps: int = 10
     algorithms: tuple[str, ...] = ("lamocs", "ga", "pso")
     base_seed: int = 0
-    pop_size: int = 100
+    pop_sizes: tuple[int, ...] = (100,)
     cycles: int = 500
     cpu_range: tuple[float, float] = GeneratorConfig.cpu_range
     mem_range: tuple[float, float] = GeneratorConfig.mem_range
@@ -110,10 +115,13 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vm_counts", tuple(int(v) for v in self.vm_counts))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if not self.vm_counts:
-            raise ValueError("vm_counts must be non-empty")
+        for axis, kind in (("vm_counts", int), ("pop_sizes", int), ("algorithms", str)):
+            values = tuple(map(kind, getattr(self, axis)))
+            object.__setattr__(self, axis, values)
+            if not values:
+                raise ValueError(f"{axis} must be non-empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{axis} repeats a value: {list(values)}")
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if any(n < self.m for n in self.vm_counts):
@@ -123,8 +131,8 @@ class SweepConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}; choose from {ALGORITHMS}")
-        if self.pop_size < 2:
-            raise ValueError("pop_size must be at least 2")
+        if any(pop < 2 for pop in self.pop_sizes):
+            raise ValueError("every pop size must be at least 2")
         if self.cycles < 1:
             raise ValueError("cycles must be at least 1")
         if self.jobs < 1:
@@ -143,19 +151,8 @@ def derive_seed(base_seed: int, vm_count: int, algorithm_id: str, rep: int) -> i
 
 def _instance_for(cfg: SweepConfig, vm_count: int, rep: int) -> tuple[PlacementProblem, int]:
     instance_seed = derive_seed(cfg.base_seed, vm_count, "instance", rep)
-    problem = generate_instance(
-        GeneratorConfig(
-            m=cfg.m,
-            n=vm_count,
-            cpu_range=cfg.cpu_range,
-            mem_range=cfg.mem_range,
-            demand_floor_ratio=cfg.demand_floor_ratio,
-            seed=instance_seed,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-        )
-    )
-    return problem, instance_seed
+    settings = {name: getattr(cfg, name) for name in _GENERATOR_FIELDS}
+    return generate_instance(GeneratorConfig(n=vm_count, seed=instance_seed, **settings)), instance_seed
 
 
 def make_config(algorithm: str, cycles: int, **fields):
@@ -201,11 +198,11 @@ def placement_metrics(problem: PlacementProblem, placement: Placement) -> dict:
     }
 
 
-def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int) -> RunRecord:
+def run_single(cfg: SweepConfig, pop: int, vm_count: int, algorithm: str, rep: int) -> RunRecord:
     """One benchmark cell; the report's metrics come from re-evaluating the placement."""
     problem, instance_seed = _instance_for(cfg, vm_count, rep)
     solver_seed = derive_seed(cfg.base_seed, vm_count, algorithm, rep)
-    config = make_config(algorithm, cfg.cycles, pop_size=cfg.pop_size, seed=solver_seed, weights=cfg.weights)
+    config = make_config(algorithm, cfg.cycles, pop_size=pop, seed=solver_seed, weights=cfg.weights)
     placement, _, wall = run_algorithm(problem, algorithm, config)
     report = RunReport(
         algorithm=algorithm,
@@ -215,73 +212,50 @@ def run_single(cfg: SweepConfig, vm_count: int, algorithm: str, rep: int) -> Run
         seed=solver_seed,
         **placement_metrics(problem, placement),
         wall_time_ms=wall * 1000.0,
+        pop=0 if config is None else pop,
     )
-    return RunRecord(report, placement, instance_seed, 0 if config is None else cfg.pop_size)
-
-
-def _run_sweeps(cfgs: list[SweepConfig]) -> list[RunRecord]:
-    """``run_single`` on every (vm_count, algorithm, rep) cell of each config, in order, in one pool.
-
-    ``pool.map`` takes the cells' argument columns; the first config's ``jobs`` sizes the pool.
-    """
-    cells = [
-        (cfg, vm_count, algorithm, rep)
-        for cfg in cfgs
-        for vm_count in cfg.vm_counts
-        for algorithm in cfg.algorithms
-        for rep in range(cfg.reps)
-    ]
-    columns = zip(*cells)
-    if cfgs[0].jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfgs[0].jobs) as pool:
-            return list(pool.map(run_single, *columns))
-    return list(map(run_single, *columns))
+    return RunRecord(report, placement, instance_seed)
 
 
 def run_sweep(cfg: SweepConfig) -> list[RunRecord]:
-    """All (vm_count, algorithm, rep) cells in deterministic order."""
-    return _run_sweeps([cfg])
+    """All (pop, vm_count, algorithm, rep) cells, nested in that order; ``jobs`` > 1 runs them in a pool.
 
-
-def run_pop_sweep(cfg: SweepConfig, pop_sizes: tuple[int, ...]) -> list[RunRecord]:
-    """``run_sweep`` at each population size in turn, all in one pool; every size is checked before any cell runs.
-
-    An algorithm without a population (ffd) runs at the first size only:
-    every other size would repeat the same runs.
+    An algorithm without a population (ffd) runs at the first size only, at
+    pop 0: every other size would repeat the same runs.
     """
-    if not pop_sizes:
-        raise ValueError("pop_sizes must be non-empty")
-    searched = tuple(a for a in cfg.algorithms if ALGORITHM_TABLE[a].config is not None)
-    return _run_sweeps([
-        replace(cfg, pop_size=pop, algorithms=searched if i else cfg.algorithms) for i, pop in enumerate(pop_sizes)
-    ])
+    cells = [
+        (pop, vm_count, algorithm, rep)
+        for i, pop in enumerate(cfg.pop_sizes)
+        for vm_count in cfg.vm_counts
+        for algorithm in cfg.algorithms
+        if i == 0 or ALGORITHM_TABLE[algorithm].config is not None
+        for rep in range(cfg.reps)
+    ]
+    run, columns = partial(run_single, cfg), zip(*cells)
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            return list(pool.map(run, *columns))
+    return list(map(run, *columns))
 
 
-def aggregate(records: list[RunRecord], by: str = "n") -> list[dict]:
-    """Mean/std (population) per (group, algorithm) cell, preserving record order.
-
-    ``by`` selects the grouping column: ``"n"`` for VM-count sweeps, ``"pop"``
-    for population sweeps.
-    """
-    if by not in ("n", "pop"):
-        raise ValueError("by must be 'n' or 'pop'")
-    groups: dict[tuple, list[RunRecord]] = {}
+def aggregate(records: list[RunRecord]) -> list[dict]:
+    """Mean/std (population) per (pop, n, algorithm) cell, preserving record order."""
+    groups: dict[tuple, list[RunReport]] = {}
     for rec in records:
-        key = (rec.pop if by == "pop" else rec.report.n, rec.report.algorithm)
-        groups.setdefault(key, []).append(rec)
+        r = rec.report
+        groups.setdefault((r.pop, r.n, r.algorithm), []).append(r)
     rows = []
-    for (group_value, algorithm), members in groups.items():
+    for (pop, n, algorithm), members in groups.items():
         row: dict = {
             "algorithm": algorithm,
-            by: group_value,
-            "m": members[0].report.m,
+            "n": n,
+            "pop": pop,
+            "m": members[0].m,
             "runs": len(members),
-            "feasible_rate": float(np.mean([r.report.feasible for r in members])),
+            "feasible_rate": float(np.mean([r.feasible for r in members])),
         }
-        if by == "pop":
-            row["n"] = members[0].report.n
         for metric in _AGG_METRICS:
-            values = np.array([getattr(r.report, metric) for r in members], dtype=np.float64)
+            values = np.array([getattr(r, metric) for r in members], dtype=np.float64)
             row[f"{metric}_mean"] = float(values.mean())
             row[f"{metric}_std"] = float(values.std())
         rows.append(row)
@@ -294,17 +268,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _raw_rows(records: list[RunRecord], include_pop: bool) -> list[dict]:
-    """One dict per record: the ``RAW_COLUMNS``, then ``pop`` when asked for."""
-    rows = [asdict(rec.report) for rec in records]
-    if include_pop:
-        for row, rec in zip(rows, records):
-            row["pop"] = rec.pop
-    return rows
-
-
-def write_raw_csv(records: list[RunRecord], path: str | Path, include_pop: bool = False) -> None:
-    write_aggregate_csv(_raw_rows(records, include_pop), path)
+def write_raw_csv(records: list[RunRecord], path: str | Path) -> None:
+    write_aggregate_csv([asdict(rec.report) for rec in records], path)
 
 
 def write_aggregate_csv(rows: list[dict], path: str | Path) -> None:
@@ -318,19 +283,17 @@ def write_aggregate_csv(rows: list[dict], path: str | Path) -> None:
             writer.writerow([_format_cell(row[col]) for col in columns])
 
 
-def write_raw_json(records: list[RunRecord], path: str | Path, include_pop: bool = False) -> None:
-    _write_json({"runs": _raw_rows(records, include_pop)}, path)
+def write_raw_json(records: list[RunRecord], path: str | Path) -> None:
+    _write_json({"runs": [asdict(rec.report) for rec in records]}, path)
 
 
 def write_aggregate_json(rows: list[dict], path: str | Path) -> None:
     _write_json({"cells": rows}, path)
 
 
-def write_metadata(cfg: SweepConfig, path: str | Path, extra: dict | None = None) -> None:
+def write_metadata(cfg: SweepConfig, path: str | Path) -> None:
     """Sidecar with every knob needed to reproduce the sweep; no timestamps."""
     payload = asdict(cfg)
     del payload["jobs"]  # worker count: the sweep's rows do not depend on it
     payload["seed_formula"] = "blake2b64('{base_seed}|{vm_count}|{algorithm_id}|{rep}'), instances use algorithm_id='instance'"
-    if extra:
-        payload.update(extra)
     _write_json(payload, path)

@@ -127,6 +127,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "wall_time_ms": wall * 1000.0,
         }
         print(json.dumps(report, indent=2, sort_keys=True))
+        if metrics["utilization"] > 1.0:
+            print(f"warning: utilization {metrics['utilization']:.4f} exceeds 1: a server is overloaded", file=sys.stderr)
         if out is not None:
             write_placement(placement, out)
     return EXIT_OK if metrics["feasible"] else EXIT_INFEASIBLE
@@ -137,13 +139,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return code
     try:
         cfg = bench.SweepConfig(
-            # a pop sweep runs at one VM count, so that is the grid to check and record
-            vm_counts=(args.pop_sweep_vms,) if args.pop_sweep else tuple(args.vm_counts),
+            vm_counts=tuple(args.vm_counts),
             m=args.servers,
             reps=args.reps,
             algorithms=tuple(args.algorithms),
             base_seed=args.base_seed,
-            pop_size=args.pop,
+            pop_sizes=tuple(args.pop),
             cycles=args.cycles,
             weights=_weights_from(args),
             jobs=args.jobs,
@@ -156,29 +157,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     meta_path = out.with_name(f"{out.stem}.meta.json")
 
     try:
-        if args.pop_sweep:
-            records = bench.run_pop_sweep(cfg, tuple(args.pop_sizes))
-            rows = bench.aggregate(records, by="pop")
-            extra = {"mode": "pop_sweep", "pop_sizes": list(args.pop_sizes)}
-        else:
-            records = bench.run_sweep(cfg)
-            rows = bench.aggregate(records, by="n")
-            extra = {"mode": "sweep"}
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_BAD_INPUT)
+        records = bench.run_sweep(cfg)
     except GeneratorError as exc:
         return _fail(str(exc), EXIT_FAILURE)
+    rows = bench.aggregate(records)
 
     try:
         for path in (out, raw_path):
             path.parent.mkdir(parents=True, exist_ok=True)
         if args.format == "json":
-            bench.write_raw_json(records, raw_path, include_pop=args.pop_sweep)
+            bench.write_raw_json(records, raw_path)
             bench.write_aggregate_json(rows, out)
         else:
-            bench.write_raw_csv(records, raw_path, include_pop=args.pop_sweep)
+            bench.write_raw_csv(records, raw_path)
             bench.write_aggregate_csv(rows, out)
-        bench.write_metadata(cfg, meta_path, extra=extra)
+        bench.write_metadata(cfg, meta_path)
     except OSError as exc:
         return _fail(f"cannot write output: {exc}", EXIT_BAD_INPUT)
 
@@ -198,6 +191,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         return _fail("--max-vms must exceed --max-servers", EXIT_BAD_INPUT)
     if args.count < 1:
         return _fail("--count must be at least 1", EXIT_BAD_INPUT)
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        return _fail("--tol must be finite and non-negative", EXIT_BAD_INPUT)
     rng = np.random.default_rng(args.seed)
     weights = ScalarWeights()
     matches = {algorithm: 0 for algorithm in args.algorithms}
@@ -289,15 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--reps", type=int, default=bench.SweepConfig.reps)
     p_bench.add_argument("--algorithms", nargs="+", default=bench.SweepConfig.algorithms)
     p_bench.add_argument("--base-seed", type=int, default=bench.SweepConfig.base_seed)
-    p_bench.add_argument("--pop", type=int, default=bench.SweepConfig.pop_size)
+    p_bench.add_argument("--pop", type=int, nargs="+", default=bench.SweepConfig.pop_sizes, help="population sizes")
     p_bench.add_argument("--cycles", type=int, default=bench.SweepConfig.cycles)
     p_bench.add_argument("--jobs", type=int, default=bench.SweepConfig.jobs, help="worker processes")
     p_bench.add_argument("--format", choices=("csv", "json"), default="csv")
     p_bench.add_argument("--out", default="results.csv", help="aggregate table path")
     p_bench.add_argument("--raw-out", default=None, help="raw per-run table path")
-    p_bench.add_argument("--pop-sweep", action="store_true", help="sweep population size at fixed vm count")
-    p_bench.add_argument("--pop-sizes", type=int, nargs="+", default=(50, 100, 150, 200))
-    p_bench.add_argument("--pop-sweep-vms", type=int, default=100)
     _add_weight_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -201,7 +201,7 @@ def test_06_load_balance_not_worse_than_baselines(capsys):
         m=20,
         reps=10,
         algorithms=("lamocs", "ga", "pso"),
-        pop_size=100,
+        pop_sizes=(100,),
         cycles=500,
         base_seed=0,
     )

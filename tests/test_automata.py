@@ -135,6 +135,12 @@ class TestSampling:
         freqs = np.bincount(draws, minlength=4) / draws.size
         assert np.all(np.abs(freqs - 0.25) < 0.01)
 
+    def test_never_draws_zero_probability_action(self):
+        # the row's cumsum ends at 0.9999999999999999, below the largest draw
+        bank = AutomatonBank(np.array([[0.16908912183775923, 0.8309108781622406, 0.0]]))
+        draws = sample_assignments(bank, 1, FixedDraws(np.array([[np.nextafter(1.0, 0.0)]])))
+        assert draws.tolist() == [[1]]
+
     def test_matrix_and_single_draws_agree(self):
         bank = init_bank(3, 4)
         single = sample_assignments(bank, 1, np.random.default_rng(21))
@@ -187,7 +193,13 @@ class TestSampleAssignmentsReference:
         bank, u = case
         new = sample_assignments(bank, u.shape[0], FixedDraws(u))
         old = legacy_sample_assignments(bank, u.shape[0], FixedDraws(u))
-        assert new.dtype == old.dtype and new.tolist() == old.tolist()
+        assert new.dtype == old.dtype
+        # the legacy sampler can draw a zero-probability last action when a
+        # row's cumsum rounds below 1; the new one takes the last positive one
+        vms = np.arange(bank.n)
+        last = np.array([np.flatnonzero(row)[-1] for row in bank.probs])
+        expected = np.where(bank.probs[vms, old] > 0, old, last)
+        assert new.tolist() == expected.tolist()
 
     def test_matches_legacy_on_generator(self):
         bank = AutomatonBank(np.array([[0.0, 0.5, 0.0, 0.5], [0.25, 0.25, 0.25, 0.25]]))

@@ -15,7 +15,6 @@ from vmplace.bench import (
     SweepConfig,
     aggregate,
     derive_seed,
-    run_pop_sweep,
     run_single,
     run_sweep,
     write_aggregate_csv,
@@ -25,7 +24,7 @@ from vmplace.bench import (
 )
 from vmplace.cli import main
 
-SMALL = dict(vm_counts=(8,), m=4, reps=2, pop_size=10, cycles=15)
+SMALL = dict(vm_counts=(8,), m=4, reps=2, pop_sizes=(10,), cycles=15)
 
 
 class TestDeriveSeed:
@@ -52,7 +51,7 @@ class TestDeriveSeed:
 class TestRunSingle:
     def test_metrics_match_reevaluation(self):
         cfg = SweepConfig(**SMALL)
-        rec = run_single(cfg, 8, "lamocs", 0)
+        rec = run_single(cfg, 10, 8, "lamocs", 0)
         problem = generate_instance(
             GeneratorConfig(m=cfg.m, n=8, cpu_range=cfg.cpu_range, mem_range=cfg.mem_range,
                             demand_floor_ratio=cfg.demand_floor_ratio, seed=rec.instance_seed,
@@ -66,8 +65,8 @@ class TestRunSingle:
 
     def test_ffd_has_no_population(self):
         cfg = SweepConfig(**SMALL, algorithms=("ffd",))
-        rec = run_single(cfg, 8, "ffd", 0)
-        assert rec.pop == 0
+        rec = run_single(cfg, 10, 8, "ffd", 0)
+        assert rec.report.pop == 0
         assert rec.report.algorithm == "ffd"
 
 
@@ -99,15 +98,15 @@ class TestRunSweep:
         assert [key(r) for r in serial] == [key(r) for r in parallel]
 
     def test_parallel_pop_sweep_matches_serial(self):
-        grid = dict(**SMALL, algorithms=("ga", "ffd"))
-        serial = run_pop_sweep(SweepConfig(**grid, jobs=1), (4, 6))
-        parallel = run_pop_sweep(SweepConfig(**grid, jobs=2), (4, 6))
+        grid = dict(**{**SMALL, "pop_sizes": (4, 6)}, algorithms=("ga", "ffd"))
+        serial = run_sweep(SweepConfig(**grid, jobs=1))
+        parallel = run_sweep(SweepConfig(**grid, jobs=2))
         # wall_time_ms is a measurement, everything else must agree
         def key(rec):
-            return replace(rec.report, wall_time_ms=0.0), rec.placement, rec.instance_seed, rec.pop
+            return replace(rec.report, wall_time_ms=0.0), rec.placement, rec.instance_seed
         assert [key(r) for r in serial] == [key(r) for r in parallel]
         # ffd has no population, so it runs at the first size only
-        assert [r.pop for r in serial] == [4, 4, 0, 0, 6, 6]
+        assert [r.report.pop for r in serial] == [4, 4, 0, 0, 6, 6]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -118,13 +117,17 @@ class TestRunSweep:
             SweepConfig(algorithms=("simulated-annealing",))
         with pytest.raises(ValueError):
             SweepConfig(reps=0)
+        with pytest.raises(ValueError):
+            SweepConfig(pop_sizes=())
+        with pytest.raises(ValueError):
+            SweepConfig(pop_sizes=(4, 1))
 
 
 class TestAggregate:
     def test_mean_and_population_std(self):
         cfg = SweepConfig(**SMALL, algorithms=("ffd",))
         records = run_sweep(cfg)
-        rows = aggregate(records, by="n")
+        rows = aggregate(records)
         assert len(rows) == 1
         row = rows[0]
         values = np.array([r.report.utilization for r in records])
@@ -134,20 +137,19 @@ class TestAggregate:
 
     def test_single_rep_std_zero(self):
         cfg = SweepConfig(**{**SMALL, "reps": 1}, algorithms=("ffd",))
-        rows = aggregate(run_sweep(cfg), by="n")
+        rows = aggregate(run_sweep(cfg))
         assert rows[0]["load_balance_std"] == 0.0
 
     def test_pop_sweep_grouping(self):
-        cfg = SweepConfig(**SMALL, algorithms=("ga",))
-        records = run_pop_sweep(cfg, (4, 6))
-        rows = aggregate(records, by="pop")
+        cfg = SweepConfig(**{**SMALL, "pop_sizes": (4, 6)}, algorithms=("ga",))
+        rows = aggregate(run_sweep(cfg))
         assert [(r["pop"], r["algorithm"]) for r in rows] == [(4, "ga"), (6, "ga")]
         assert all(r["n"] == 8 for r in rows)
+        assert list(rows[0])[:6] == ["algorithm", "n", "pop", "m", "runs", "feasible_rate"]
 
     def test_pop_sweep_counts_each_run_once(self):
-        cfg = SweepConfig(**SMALL, algorithms=("lamocs", "ffd"))
-        records = run_pop_sweep(replace(cfg, cycles=2), (4, 6))
-        rows = aggregate(records, by="pop")
+        cfg = SweepConfig(**{**SMALL, "pop_sizes": (4, 6)}, algorithms=("lamocs", "ffd"))
+        rows = aggregate(run_sweep(replace(cfg, cycles=2)))
         assert [(r["pop"], r["algorithm"]) for r in rows] == [(4, "lamocs"), (0, "ffd"), (6, "lamocs")]
         assert [r["runs"] for r in rows] == [cfg.reps] * 3
 
@@ -181,11 +183,12 @@ class TestWriters:
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
         assert payload["m"] == 4
+        assert payload["pop_sizes"] == [10]
         assert "seed_formula" in payload
 
     def test_aggregate_csv_roundtrip(self, tmp_path):
         cfg = SweepConfig(**SMALL, algorithms=("ffd",))
-        rows = aggregate(run_sweep(cfg), by="n")
+        rows = aggregate(run_sweep(cfg))
         path = tmp_path / "agg.csv"
         write_aggregate_csv(rows, path)
         with open(path) as fh:
@@ -292,6 +295,24 @@ class TestCliSolve:
         assert rc == 4
         report = json.loads(capsys.readouterr().out)
         assert report["feasible"] is False
+
+    def test_utilization_above_one_warns(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "servers": [{"cpu": 10.0, "mem": 16.0}],
+            "vms": [{"cpu": 8.0, "mem": 8.0}, {"cpu": 8.0, "mem": 8.0}],
+            "alpha": 0.5, "beta": 0.5,
+        }))
+        assert main(["solve", str(inst), "--algorithm", "ffd"]) == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["utilization"] == pytest.approx(1.3)
+        assert captured.err == "warning: utilization 1.3000 exceeds 1: a server is overloaded\n"
+        # a utilization of exactly 1 is a full, feasible packing
+        write_split_instance(inst)
+        assert main(["solve", str(inst), "--algorithm", "ffd"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["utilization"] == 1.0
+        assert captured.err == ""
 
     @pytest.mark.parametrize("algorithm", ["lamocs", "ffd"])
     def test_zero_capacity_server_exit_2(self, tmp_path, capsys, algorithm):
@@ -444,28 +465,29 @@ class TestCliBench:
     def test_pop_sweep_adds_column(self, tmp_path, capsys):
         out = tmp_path / "pop.csv"
         rc = main([
-            "bench", "--pop-sweep", "--pop-sizes", "4", "6", "--pop-sweep-vms", "8",
-            "--vm-counts", "8", "--servers", "4", "--reps", "1",
-            "--algorithms", "ffd", "--cycles", "15", "--out", str(out),
+            "bench", "--pop", "4", "6", "--vm-counts", "8", "--servers", "4", "--reps", "1",
+            "--algorithms", "ga", "ffd", "--cycles", "2", "--out", str(out),
         ])
         assert rc == 0
         capsys.readouterr()
         with open(tmp_path / "pop.raw.csv") as fh:
-            header = next(csv.reader(fh))
-        assert header[-1] == "pop"
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "pop"
+        assert [(row[0], row[-1]) for row in rows[1:]] == [("ga", "4"), ("ffd", "0"), ("ga", "6")]
 
     def test_pop_sweep_checks_and_records_its_own_vm_count(self, tmp_path, capsys):
-        # the default --vm-counts start below --servers 30, but a pop sweep runs only --pop-sweep-vms
+        # a pop sweep is the one grid at a single VM count; the sidecar records both axes
         out = tmp_path / "pop.csv"
         rc = main([
-            "bench", "--pop-sweep", "--servers", "30", "--pop-sweep-vms", "40", "--pop-sizes", "4",
+            "bench", "--servers", "30", "--vm-counts", "40", "--pop", "4", "6",
             "--reps", "1", "--algorithms", "ffd", "--cycles", "2", "--out", str(out),
         ])
         assert rc == 0
         capsys.readouterr()
         meta = json.loads((tmp_path / "pop.meta.json").read_text())
         assert meta["vm_counts"] == [40]
-        assert "pop_sweep_vms" not in meta
+        assert meta["pop_sizes"] == [4, 6]
+        assert "mode" not in meta and "pop_size" not in meta
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         rc = main(["bench", "--vm-counts", "8", "--servers", "9", "--out", str(tmp_path / "x.csv")])
@@ -474,12 +496,16 @@ class TestCliBench:
 
     @pytest.mark.parametrize("grid", [
         ["--vm-counts", "8", "--servers", "0"],
-        ["--vm-counts", "8", "--servers", "4", "--pop-sweep", "--pop-sizes", "4", "1", "--pop-sweep-vms", "8"],
-        ["--vm-counts", "8", "--servers", "4", "--pop-sweep", "--pop-sizes", "4", "--pop-sweep-vms", "3"],
+        ["--vm-counts", "8", "--servers", "4", "--pop", "4", "1"],
+        ["--vm-counts", "3", "--servers", "4"],
+        # a repeated value would rerun the same cells and count them twice
+        ["--vm-counts", "8", "8", "--servers", "4", "--reps", "2"],
+        ["--vm-counts", "8", "--servers", "4", "--pop", "4", "4"],
+        ["--vm-counts", "8", "--servers", "4", "--algorithms", "ffd", "ffd"],
     ])
     def test_bad_grid_exit_2_writes_nothing(self, tmp_path, capsys, grid):
         out = tmp_path / "out" / "x.csv"
-        rc = main(["bench", *grid, "--reps", "1", "--algorithms", "ffd", "--cycles", "2", "--out", str(out)])
+        rc = main(["bench", "--reps", "1", "--algorithms", "ffd", "--cycles", "2", *grid, "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -550,6 +576,18 @@ class TestCliOracleCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: no instance with a feasible optimum in 100 attempts\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_exit_2_before_drawing(self, monkeypatch, capsys, tol):
+        def no_draw(cfg):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(cli, "generate_instance", no_draw)
+        rc = main(["oracle-check", "--count", "2", "--algorithms", "ffd", "--tol", tol])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
     def test_bad_config_exit_2(self, capsys):
         rc = main(["oracle-check", "--count", "1", "--pop", "1", "--algorithms", "ga"])

@@ -8,6 +8,8 @@ out, so any change in arithmetic, RNG consumption or output format shows.
 Regenerate the file only for a declared behaviour change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints each key it added, removed or changed, so the rewrite shows its scope.
 """
 
 from __future__ import annotations
@@ -221,6 +223,14 @@ def test_matches_golden(fresh, key):
 
 
 if __name__ == "__main__":
+    new = json.loads(json.dumps(outputs()))
+    for key in sorted(new.keys() | GOLDEN_DATA.keys()):
+        if key not in GOLDEN_DATA:
+            print(f"added: {key}")
+        elif key not in new:
+            print(f"removed: {key}")
+        elif new[key] != GOLDEN_DATA[key]:
+            print(f"changed: {key}")
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(json.dumps(outputs(), indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
