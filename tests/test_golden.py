@@ -179,18 +179,21 @@ def cli_outputs() -> dict:
                 "placement": place.read_text(),
             }
 
-        agg = tmp / "sweep.csv"
-        code, _ = _run_cli([
-            "bench", "--vm-counts", "6", "8", "--servers", "3", "--reps", "1",
-            "--algorithms", "lamocs", "ga", "pso", "ffd", "--pop", "8", "--cycles", "6",
-            "--out", str(agg),
-        ])
-        out["cli_bench"] = {
-            "exit": code,
-            "raw": _csv_without_wall_time(tmp / "sweep.raw.csv"),
-            "aggregate": _csv_without_wall_time(agg),
-            "meta": (tmp / "sweep.meta.json").read_text(),
-        }
+        # the second sweep pins the pop-major cell order and FFD's single run at pop 0
+        for name, grid in (
+            ("cli_bench", ["--vm-counts", "6", "8", "--reps", "1", "--algorithms", "lamocs", "ga", "pso", "ffd",
+                           "--pop", "8", "--cycles", "6"]),
+            ("cli_bench_pop", ["--vm-counts", "6", "--reps", "2", "--algorithms", "lamocs", "ffd",
+                               "--pop", "4", "6", "--cycles", "4"]),
+        ):
+            agg = tmp / f"{name}.csv"
+            code, _ = _run_cli(["bench", "--servers", "3", *grid, "--out", str(agg)])
+            out[name] = {
+                "exit": code,
+                "raw": _csv_without_wall_time(tmp / f"{name}.raw.csv"),
+                "aggregate": _csv_without_wall_time(agg),
+                "meta": (tmp / f"{name}.meta.json").read_text(),
+            }
 
         code, stdout = _run_cli(["oracle-check", "--count", "2", "--seed", "1", "--pop", "10", "--cycles", "10"])
         out["cli_oracle_check"] = {"exit": code, "stdout": stdout}
