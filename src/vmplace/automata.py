@@ -140,9 +140,9 @@ def sample_assignments(bank: AutomatonBank, k: int, rng: np.random.Generator) ->
     cum = np.cumsum(bank.probs, axis=1).T.copy()
     u = rng.random((k, bank.n))
     idx = (cum[:, None, :] <= u).sum(axis=0)
-    # a cumsum that rounds below 1 must not let a draw reach a trailing zero-probability action
-    last = bank.m - 1 - np.argmax(bank.probs[:, ::-1] > 0, axis=1)
-    return np.minimum(idx, last)
+    if idx.max() == bank.m:  # a draw at or above a row total that rounded below 1: take its last positive action
+        idx = np.minimum(idx, bank.m - 1 - np.argmax(bank.probs[:, ::-1] > 0, axis=1))
+    return idx
 
 
 def _checked_row(row, bank: AutomatonBank) -> np.ndarray:

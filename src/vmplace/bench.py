@@ -231,7 +231,8 @@ def run_sweep(cfg: SweepConfig) -> list[RunRecord]:
         if i == 0 or ALGORITHM_TABLE[algorithm].config is not None
         for rep in range(cfg.reps)
     ]
-    run, columns = partial(run_single, cfg), zip(*cells)
+    run = partial(run_single, cfg)
+    columns = zip(*cells)
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             return list(pool.map(run, *columns))
