@@ -181,17 +181,15 @@ def solve_ffd(problem: PlacementProblem) -> Placement:
     both resources; when none fits, the VM lands on the server with maximum
     combined slack, which may leave the result infeasible.
     """
-    m = problem.m
+    demand = problem.demand
     order = np.argsort(-problem.vm_demand_measure, kind="stable")
-    cpu_used = np.zeros(m)
-    mem_used = np.zeros(m)
+    load = np.zeros((len(demand), problem.m))
     assign = np.empty(problem.n, dtype=np.int64)
     for v in order:
-        fits = _fits(problem, cpu_used + problem.vm_cpu[v], mem_used + problem.vm_mem[v]).all(axis=0)
-        j = int(np.argmax(fits if fits.any() else _slack(problem, cpu_used, mem_used)))
+        fits = _fits(problem, load + demand[:, v, None]).all(axis=0)
+        j = int(np.argmax(fits if fits.any() else _slack(problem, load)))
         assign[v] = j
-        cpu_used[j] += problem.vm_cpu[v]
-        mem_used[j] += problem.vm_mem[v]
+        load[:, j] += demand[:, v]
     return Placement(tuple(int(v) + 1 for v in assign))
 
 
@@ -226,7 +224,7 @@ def brute_force(problem: PlacementProblem, weights: ScalarWeights | None = None)
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         rows = (ids[:, None] // radix) % m
-        objs = batch_objectives(problem, *batch_loads(problem, rows))
+        objs = batch_objectives(problem, batch_loads(problem, rows))
         batch = _Batch(rows + 1.0, rows, *objs, batch_scalarize(objs, weights))
         i = int(np.argmin(batch.scalars))
         if batch.scalars[i] < best_scalar:

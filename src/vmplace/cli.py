@@ -15,11 +15,11 @@ from . import bench
 from .baselines import BRUTE_FORCE_LIMIT, brute_force
 from .cuckoo import SolverConfig
 from .instance import (
+    RESOURCES,
     GeneratorConfig,
     GeneratorError,
     generate_instance,
     read_instance,
-    total_capacity,
     write_instance,
     write_placement,
 )
@@ -79,13 +79,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
         write_instance(problem, args.out)
     except OSError as exc:
         return _fail(f"cannot write output: {exc}", EXIT_BAD_INPUT)
-    cap = total_capacity(problem)
-    demand_cpu = float(problem.vm_cpu.sum())
-    demand_mem = float(problem.vm_mem.sum())
+    capacity = problem.capacity.sum(axis=1)
+    fill = problem.demand.sum(axis=1) / capacity
     print(f"wrote {args.out}")
     print(f"servers: {problem.m}  vms: {problem.n}")
-    print(f"total capacity: cpu={cap.cpu:.3f} mem={cap.mem:.3f}")
-    print(f"demand/capacity: cpu={demand_cpu / cap.cpu:.4f} mem={demand_mem / cap.mem:.4f}")
+    print("total capacity: " + " ".join(f"{name}={value:.3f}" for name, value in zip(RESOURCES, capacity)))
+    print("demand/capacity: " + " ".join(f"{name}={value:.4f}" for name, value in zip(RESOURCES, fill)))
     return EXIT_OK
 
 
@@ -155,6 +154,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out = Path(args.out)
     raw_path = Path(args.raw_out) if args.raw_out else out.with_name(f"{out.stem}.raw{out.suffix}")
     meta_path = out.with_name(f"{out.stem}.meta.json")
+    if len({path.resolve() for path in (out, raw_path, meta_path)}) < 3:
+        return _fail("--out, --raw-out and the metadata sidecar must be three different files", EXIT_BAD_INPUT)
 
     try:
         records = bench.run_sweep(cfg)

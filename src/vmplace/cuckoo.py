@@ -166,13 +166,13 @@ def repair(problem: PlacementProblem, placement: Placement) -> Placement:
     """Move VMs off overloaded servers onto the feasible server with most slack.
 
     Deterministic.  Feasible input comes back unchanged.  Repair stops when
-    an evicted VM fits nowhere; the moves made before then are kept, so the
-    result can still be infeasible.
+    an evicted VM fits nowhere, or when the overloaded server hosts no VM
+    (float residue after evicting them all); the moves made before then are
+    kept, so the result can still be infeasible.
     """
     placement.validate_for(problem)
     rows = np.asarray(placement.assign, dtype=np.int64)[None, :] - 1
-    cpu_used, mem_used, _ = batch_loads(problem, rows)
-    if _repair_rows(problem, rows, cpu_used, mem_used)[0]:
+    if _repair_rows(problem, rows, batch_loads(problem, rows)[:2])[0]:
         return Placement(tuple(int(v) + 1 for v in rows[0]))
     return placement
 
@@ -188,92 +188,79 @@ def _repair_row(
 
     Each move evicts the largest-demand VM from the first overloaded server
     and rehosts it on the feasible server with maximum combined slack, so a
-    VM moves at most once and the loop is bounded by n moves.
+    VM moves at most once and the loop is bounded by n moves.  The row gives
+    up when the evicted VM fits nowhere or the overloaded server hosts no VM.
     """
-    vm_cpu, vm_mem = problem.vm_cpu, problem.vm_mem
-    measure = problem.vm_demand_measure
+    demand, measure = problem.demand, problem.vm_demand_measure
+    load = np.array((cpu_used, mem_used))
     changed = False
     for _ in range(problem.n):
-        over = ~_fits(problem, cpu_used, mem_used).all(axis=0)
+        over = ~_fits(problem, load).all(axis=0)
         j = int(np.argmax(over))
-        if not over[j]:
+        hosted = a0 == j
+        if not (over[j] and hosted.any()):
             break
         # largest hosted VM; masked argmax keeps the first-index tie-break
-        v = int(np.argmax(np.where(a0 == j, measure, -np.inf)))
-        old_cpu, old_mem = cpu_used[j], mem_used[j]
-        cpu_used[j] -= vm_cpu[v]
-        mem_used[j] -= vm_mem[v]
+        v = int(np.argmax(np.where(hosted, measure, -np.inf)))
+        old = load[:, j].copy()
+        load[:, j] -= demand[:, v]
         counts[j] -= 1
-        fits = _fits(problem, cpu_used + vm_cpu[v], mem_used + vm_mem[v]).all(axis=0)
+        fits = _fits(problem, load + demand[:, v, None]).all(axis=0)
         if not fits.any():
             # restore the saved values: subtract-then-add can drift by an ulp
-            cpu_used[j] = old_cpu
-            mem_used[j] = old_mem
+            load[:, j] = old
             counts[j] += 1
             break
-        slack = _slack(problem, cpu_used, mem_used)
+        slack = _slack(problem, load)
         slack[~fits] = -np.inf
         t = int(np.argmax(slack))
         a0[v] = t
-        cpu_used[t] += vm_cpu[v]
-        mem_used[t] += vm_mem[v]
+        load[:, t] += demand[:, v]
         counts[t] += 1
         changed = True
+    cpu_used[:], mem_used[:] = load
     return changed
 
 
-def _repair_rows(
-    problem: PlacementProblem,
-    rows: np.ndarray,
-    cpu_used: np.ndarray,
-    mem_used: np.ndarray,
-) -> np.ndarray:
+def _repair_rows(problem: PlacementProblem, rows: np.ndarray, load: np.ndarray) -> np.ndarray:
     """In-place ``_repair_row`` on every row of a batch at once; True where a row changed.
 
-    ``cpu_used`` and ``mem_used`` are the rows' loads on entry and scratch
+    ``load`` is the rows' stacked ``(2, k, m)`` load on entry and scratch
     afterwards: only ``rows`` and the returned flags are outputs, and they
     match the per-row rule bit for bit.  Each pass makes at most one move per
     live row, with the per-row rule's float operations in the same order.  A
-    row leaves the batch once it has no overloaded server or its evicted VM
-    fits nowhere.  It restates ``_fits`` and ``_slack`` on stacked
-    ``(resource, row, server)`` arrays, so a change to either rule must change
-    this kernel too.
+    row leaves the batch once it has no overloaded server, that server hosts
+    no VM, or its evicted VM fits nowhere.
     """
     m, n = problem.m, problem.n
     changed = np.zeros(rows.shape[0], dtype=bool)
-    cap = np.array((problem.server_cpu, problem.server_mem))[:, None, :]
-    weight = np.array((problem.alpha, problem.beta))[:, None, None]
-    mean = np.array((problem.mean_cpu, problem.mean_mem))[:, None, None]
     # VMs in eviction order: largest demand first, first index on ties.  On an
     # overloaded server the next VM to evict is its first one in this order.
     order = (-problem.vm_demand_measure).argsort(kind="stable")
-    demand = np.array((problem.vm_cpu, problem.vm_mem)).take(order, axis=1)
+    demand = problem.demand.take(order, axis=1)
     # The working arrays hold only the live rows: ``load`` is (resource, row,
     # server), ``a[r, q]`` is the server of VM ``order[q]``, and ``ids`` maps
     # rows back to the batch.  Cells are reached by flat offset with take/put.
-    load = np.array((cpu_used, mem_used))
     a = rows.take(order, axis=1)
     ids = np.arange(rows.shape[0])
     at_m, at_n = ids * m, ids * n
-    resource_at = np.array([[0], [ids.size * m]])
+    stride = np.arange(len(load))[:, None] * m
+    resource_at = stride * ids.size
     for i in range(n):
-        over = load > cap
-        over = over[0] | over[1]
-        j = over.argmax(axis=1)
+        # The first overloaded server j and its largest VM p: a row is live
+        # when both exist (``hosted[p] > ok[j]``).  A dead row's j or p is 0 and
+        # its eviction is void; a live row whose VM fits nowhere has t at 0.
+        ok = _fits(problem, load).all(axis=0)
+        j = ok.argmin(axis=1)
         j_at = at_m + j
-        live = over.take(j_at)
-        p = (a == j[:, None]).argmax(axis=1)
+        hosted = a == j[:, None]
+        p = hosted.argmax(axis=1)
+        live = hosted.take(at_n + p) > ok.take(j_at)
         d = demand.take(p, axis=1)
         cell = resource_at + j_at
         load.put(cell, load.take(cell) - d)
-        fits = load + d[:, :, None] <= cap
-        fits = fits[0] & fits[1]
-        slack = cap - load
-        slack *= weight
-        slack /= mean
-        t = np.where(fits, slack[0] + slack[1], -np.inf).argmax(axis=1)
-        # A row leaves when it had no overloaded server (its j is 0 and the
-        # eviction above is void) or when nothing fits (argmax falls on 0).
+        fits = _fits(problem, load + d[:, :, None]).all(axis=0)
+        t = np.where(fits, _slack(problem, load), -np.inf).argmax(axis=1)
         keep = live & fits.take(at_m + t)
         if not keep.all():
             idx = np.flatnonzero(keep)
@@ -282,7 +269,7 @@ def _repair_rows(
                 break
             ids, a, load = ids.take(idx), a.take(idx, axis=0), load.take(idx, axis=1)
             p, d, t = p.take(idx), d.take(idx, axis=1), t.take(idx)
-            at_m, at_n, resource_at = at_m[:k], at_n[:k], np.array([[0], [k * m]])
+            at_m, at_n, resource_at = at_m[:k], at_n[:k], stride * k
         rows.put(ids * n + order.take(p), t)
         a.put(at_n + p, t)
         cell = resource_at + (at_m + t)
@@ -322,18 +309,18 @@ def _evaluate_rows(
     """
     if work is None:
         work = _Workspace(problem, rows.shape[0])
-    cpu_used, mem_used, counts = batch_loads(problem, rows, work=work)
-    bad = np.flatnonzero(~_fits(problem, cpu_used, mem_used).all(axis=(0, 2)))
+    loads = batch_loads(problem, rows, work=work)
+    bad = np.flatnonzero(~_fits(problem, loads[:2]).all(axis=(0, 2)))
     changed = bad[:0]
     if bad.size:
         repaired = rows.take(bad, axis=0, out=work.spare[: bad.size], mode="clip")
-        moved = _repair_rows(problem, repaired, cpu_used[bad], mem_used[bad])
+        moved = _repair_rows(problem, repaired, loads[:2].take(bad, axis=1))
         changed = bad[moved]
         if changed.size:
             fixed = repaired[moved]
             rows[changed] = fixed
-            cpu_used[changed], mem_used[changed], counts[changed] = batch_loads(problem, fixed, work=work)
-    objs = batch_objectives(problem, cpu_used, mem_used, counts)
+            loads[:, changed] = batch_loads(problem, fixed, work=work)
+    objs = batch_objectives(problem, loads)
     return changed, objs, batch_scalarize(objs, weights)
 
 

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-9
+# The resources every server offers and every VM asks for, in stacked-array row order.
+RESOURCES = ("cpu", "mem")
 
 
 class GeneratorError(RuntimeError):
@@ -41,10 +43,9 @@ class ResourceVector:
     mem: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cpu", float(self.cpu))
-        object.__setattr__(self, "mem", float(self.mem))
-        for name in ("cpu", "mem"):
-            value = getattr(self, name)
+        for name in RESOURCES:
+            value = float(getattr(self, name))
+            object.__setattr__(self, name, value)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
@@ -72,12 +73,9 @@ class PlacementProblem:
         if not self.vms:
             raise ValueError("need at least one VM")
         _check_weights(self.alpha, self.beta)
-        for server in self.servers:
-            if server.cpu <= 0.0 or server.mem <= 0.0:
-                raise ValueError("server capacities must be strictly positive in both resources")
-        for vm in self.vms:
-            if vm.cpu <= 0.0 or vm.mem <= 0.0:
-                raise ValueError("VM demands must be strictly positive in both resources")
+        for what, vectors in (("server capacities", self.servers), ("VM demands", self.vms)):
+            if any(v.cpu <= 0.0 or v.mem <= 0.0 for v in vectors):
+                raise ValueError(f"{what} must be strictly positive in both resources")
 
     @property
     def m(self) -> int:
@@ -87,38 +85,49 @@ class PlacementProblem:
     def n(self) -> int:
         return len(self.vms)
 
-    # Read-only array views, cached because solvers hit them in tight loops.
+    # Read-only arrays, built on first use and cached because solvers hit them
+    # in tight loops.  The per-resource views are the public and I/O face.
+
+    @cached_property
+    def capacity(self) -> np.ndarray:
+        """Server capacities, ``(2, m)``."""
+        return _frozen_array([[getattr(s, r) for s in self.servers] for r in RESOURCES])
+
+    @cached_property
+    def demand(self) -> np.ndarray:
+        """VM demands, ``(2, n)``."""
+        return _frozen_array([[getattr(v, r) for v in self.vms] for r in RESOURCES])
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """Resource weights ``(alpha, beta)``."""
+        return _frozen_array((self.alpha, self.beta))
+
+    @cached_property
+    def mean_capacity(self) -> np.ndarray:
+        """Mean server capacity per resource, ``(2,)``."""
+        return _frozen_array(self.capacity.mean(axis=1))
 
     @cached_property
     def server_cpu(self) -> np.ndarray:
-        return _frozen_array([s.cpu for s in self.servers])
+        return self.capacity[0]
 
     @cached_property
     def server_mem(self) -> np.ndarray:
-        return _frozen_array([s.mem for s in self.servers])
+        return self.capacity[1]
 
     @cached_property
     def vm_cpu(self) -> np.ndarray:
-        return _frozen_array([v.cpu for v in self.vms])
+        return self.demand[0]
 
     @cached_property
     def vm_mem(self) -> np.ndarray:
-        return _frozen_array([v.mem for v in self.vms])
-
-    @cached_property
-    def mean_cpu(self) -> float:
-        return float(self.server_cpu.mean())
-
-    @cached_property
-    def mean_mem(self) -> float:
-        return float(self.server_mem.mean())
+        return self.demand[1]
 
     @cached_property
     def vm_demand_measure(self) -> np.ndarray:
         """Per-VM demand combined across resources, normalized by mean capacity."""
-        combined = self.alpha * self.vm_cpu / self.mean_cpu + self.beta * self.vm_mem / self.mean_mem
-        combined.flags.writeable = False
-        return combined
+        return _frozen_array((self.weight[:, None] * self.demand / self.mean_capacity[:, None]).sum(axis=0))
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -209,12 +218,9 @@ def generate_instance(cfg: GeneratorConfig) -> PlacementProblem:
     loop cannot satisfy the floor below the per-VM cap.
     """
     rng = np.random.default_rng(cfg.seed)
-    server_cpu = rng.uniform(cfg.cpu_range[0], cfg.cpu_range[1], cfg.m)
-    server_mem = rng.uniform(cfg.mem_range[0], cfg.mem_range[1], cfg.m)
-    vm_cpu = _draw_demands(rng, cfg.n, server_cpu, cfg.demand_floor_ratio)
-    vm_mem = _draw_demands(rng, cfg.n, server_mem, cfg.demand_floor_ratio)
-    servers = tuple(ResourceVector(c, m_) for c, m_ in zip(server_cpu, server_mem))
-    vms = tuple(ResourceVector(c, m_) for c, m_ in zip(vm_cpu, vm_mem))
+    capacity = [rng.uniform(lo, hi, cfg.m) for lo, hi in (cfg.cpu_range, cfg.mem_range)]
+    demand = [_draw_demands(rng, cfg.n, cap, cfg.demand_floor_ratio) for cap in capacity]
+    servers, vms = (tuple(map(ResourceVector, *values)) for values in (capacity, demand))
     return PlacementProblem(servers, vms, cfg.alpha, cfg.beta)
 
 
@@ -246,7 +252,7 @@ def _draw_demands(rng: np.random.Generator, n: int, capacities: np.ndarray, floo
 
 def total_capacity(problem: PlacementProblem) -> ResourceVector:
     """Sum of server capacities across the fleet."""
-    return ResourceVector(float(problem.server_cpu.sum()), float(problem.server_mem.sum()))
+    return ResourceVector(*problem.capacity.sum(axis=1))
 
 
 def write_instance(problem: PlacementProblem, path: str | Path) -> None:

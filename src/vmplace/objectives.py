@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instance import Placement, PlacementProblem
+from .instance import RESOURCES, Placement, PlacementProblem
 
 __all__ = [
     "ObjectiveVector",
@@ -78,70 +78,79 @@ class LoadWork:
     """Buffers ``batch_loads`` reuses for up to ``size`` rows of one problem.
 
     They hold the flat bin index, the row offsets and the per-row tiles of
-    the VM demands, so repeated calls allocate only their ``(k, m)`` outputs.
+    each resource's demands and of ones (the VM count), so repeated calls
+    allocate only their ``(3, k, m)`` output.
     """
 
     def __init__(self, problem: PlacementProblem, size: int) -> None:
         self.size = size
         self.flat = np.empty((size, problem.n), dtype=np.int64)
         self.offsets = np.arange(size)[:, None] * problem.m
-        self.cpu = np.tile(problem.vm_cpu, (size, 1))
-        self.mem = np.tile(problem.vm_mem, (size, 1))
+        self.weights = np.ones((len(problem.demand) + 1, size, problem.n))
+        self.weights[:-1] = problem.demand[:, None, :]
 
 
-def batch_loads(
-    problem: PlacementProblem, rows: np.ndarray, *, work: LoadWork | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-server cpu/mem totals and VM counts for each 0-based assignment row.
+def batch_loads(problem: PlacementProblem, rows: np.ndarray, *, work: LoadWork | None = None) -> np.ndarray:
+    """Per-server totals for each 0-based assignment row, as one ``(3, k, m)`` array.
 
-    ``work`` supplies buffers for at least ``len(rows)`` rows; without it
-    they are allocated for this call.
+    ``loads[:2]`` is the stacked cpu and mem load the capacity rules take, and
+    ``loads[2]`` the VM count, as floats.  The result unpacks as
+    ``cpu, mem, counts``, which the benchmark's tracer relies on.  ``work``
+    supplies buffers for at least ``len(rows)`` rows; without it they are
+    allocated for this call.
     """
     rows = np.atleast_2d(rows)
     k = rows.shape[0]
     if work is None:
         work = LoadWork(problem, k)
     flat = np.add(rows, work.offsets[:k], out=work.flat[:k]).ravel()
-    m = problem.m
-    size = k * m
-    cpu_used = np.bincount(flat, weights=work.cpu[:k].ravel(), minlength=size)
-    mem_used = np.bincount(flat, weights=work.mem[:k].ravel(), minlength=size)
-    counts = np.bincount(flat, minlength=size)
-    return cpu_used.reshape(k, m), mem_used.reshape(k, m), counts.reshape(k, m)
+    size = k * problem.m
+    # one bincount per row of weights: one over a stacked index costs more to build
+    loads = np.empty((len(work.weights), size))
+    for out, weights in zip(loads, work.weights):
+        out[:] = np.bincount(flat, weights=weights[:k].ravel(), minlength=size)
+    return loads.reshape(len(loads), k, problem.m)
 
 
-def _fits(problem: PlacementProblem, cpu: np.ndarray, mem: np.ndarray) -> np.ndarray:
-    """The capacity test of ``(..., m)`` loads: ``(2, ...)`` bools, cpu then mem; a load at capacity fits."""
-    return np.array((cpu <= problem.server_cpu, mem <= problem.server_mem))
+# ``_ALONG[i]`` indexes a per-resource array with ``i`` new axes after the
+# resource axis: ``[:, None]`` fits a ``(2, m)`` capacity to a ``(2, k, m)`` load.
+_ALONG = tuple((slice(None),) + (None,) * i for i in range(3))
 
 
-def _utilization(problem: PlacementProblem, cpu: np.ndarray, mem: np.ndarray) -> np.ndarray:
-    """Per-server utilization of ``(..., m)`` cpu and mem loads, weighted by alpha and beta."""
-    return problem.alpha * cpu / problem.server_cpu + problem.beta * mem / problem.server_mem
+def _along(values: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """A per-resource ``(2,)`` or ``(2, m)`` problem array, shaped to broadcast against ``load``."""
+    return values[_ALONG[load.ndim - values.ndim]]
 
 
-def _slack(problem: PlacementProblem, cpu: np.ndarray, mem: np.ndarray) -> np.ndarray:
+def _fits(problem: PlacementProblem, load: np.ndarray) -> np.ndarray:
+    """The capacity test of a stacked ``(2, ..., m)`` load, per resource; a load at capacity fits."""
+    return load <= _along(problem.capacity, load)
+
+
+def _utilization(problem: PlacementProblem, load: np.ndarray) -> np.ndarray:
+    """Per-server utilization of a stacked ``(2, ..., m)`` load, each resource weighted."""
+    return (_along(problem.weight, load) * load / _along(problem.capacity, load)).sum(axis=0)
+
+
+def _slack(problem: PlacementProblem, load: np.ndarray) -> np.ndarray:
     """Combined free capacity per server, normalized by mean capacity; a moved VM goes where it is largest."""
-    return (
-        problem.alpha * (problem.server_cpu - cpu) / problem.mean_cpu
-        + problem.beta * (problem.server_mem - mem) / problem.mean_mem
-    )
+    free = _along(problem.capacity, load) - load
+    free *= _along(problem.weight, load)
+    free /= _along(problem.mean_capacity, load)
+    return free.sum(axis=0)
 
 
-def batch_objectives(
-    problem: PlacementProblem,
-    cpu_used: np.ndarray,
-    mem_used: np.ndarray,
-    counts: np.ndarray,
-) -> BatchObjectives:
-    util = _utilization(problem, cpu_used, mem_used)
+def batch_objectives(problem: PlacementProblem, loads: np.ndarray) -> BatchObjectives:
+    """Objective columns of the rows whose ``batch_loads`` result is ``loads``."""
+    load, counts = loads[:2], loads[2]
+    util = _utilization(problem, load)
     active = counts > 0
     active_n = active.sum(axis=1)
     util_mean = (util * active).sum(axis=1) / active_n
     dev = (util - util_mean[:, None]) * active
     load_balance = np.sqrt((dev * dev).sum(axis=1) / active_n)
     active_fraction = active_n / problem.m
-    feasible = _fits(problem, cpu_used, mem_used).all(axis=(0, 2))
+    feasible = _fits(problem, load).all(axis=(0, 2))
     return BatchObjectives(util_mean, load_balance, active_fraction, feasible)
 
 
@@ -161,10 +170,9 @@ def resource_waste(problem: PlacementProblem, placement: Placement) -> float:
     Averages the per-server complements, which can differ from
     ``1 - evaluate(...).utilization`` in the last bits.
     """
-    a0 = _assign0(problem, placement)
-    cpu_used, mem_used, counts = batch_loads(problem, a0[None, :])
-    util = _utilization(problem, cpu_used[0], mem_used[0])
-    return float(np.mean(1.0 - util[counts[0] > 0]))
+    loads = batch_loads(problem, _assign0(problem, placement)[None, :])[:, 0]
+    util = _utilization(problem, loads[:2])
+    return float(np.mean(1.0 - util[loads[2] > 0]))
 
 
 def check_feasible(problem: PlacementProblem, placement: Placement) -> tuple[bool, list[Violation]]:
@@ -172,21 +180,18 @@ def check_feasible(problem: PlacementProblem, placement: Placement) -> tuple[boo
 
     Violations come server by server, cpu before mem, each with its excess load.
     """
-    a0 = _assign0(problem, placement)
-    cpu_used, mem_used, _ = batch_loads(problem, a0[None, :])
-    cpu, mem = cpu_used[0], mem_used[0]
-    excess = (cpu - problem.server_cpu, mem - problem.server_mem)
-    servers, resources = np.nonzero(~_fits(problem, cpu, mem).T)
+    load = batch_loads(problem, _assign0(problem, placement)[None, :])[:2, 0]
+    excess = load - problem.capacity
+    servers, resources = np.nonzero(~_fits(problem, load).T)
     violations = [
-        Violation(j + 1, ("cpu", "mem")[r], float(excess[r][j])) for j, r in zip(servers.tolist(), resources.tolist())
+        Violation(j + 1, RESOURCES[r], float(excess[r, j])) for j, r in zip(servers.tolist(), resources.tolist())
     ]
     return (not violations, violations)
 
 
 def evaluate(problem: PlacementProblem, placement: Placement) -> ObjectiveVector:
     """All three objectives plus feasibility for one placement (pure)."""
-    a0 = _assign0(problem, placement)
-    objs = batch_objectives(problem, *batch_loads(problem, a0[None, :]))
+    objs = batch_objectives(problem, batch_loads(problem, _assign0(problem, placement)[None, :]))
     return ObjectiveVector(
         float(objs.utilization[0]),
         float(objs.load_balance[0]),

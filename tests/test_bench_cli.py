@@ -512,6 +512,22 @@ class TestCliBench:
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("outputs", [
+        ["--out", "same.csv", "--raw-out", "same.csv"],
+        ["--out", "s.csv", "--raw-out", "s.meta.json"],
+        ["--out", "s.json", "--raw-out", "sub/../s.json", "--format", "json"],
+    ])
+    def test_colliding_output_paths_exit_2_writes_nothing(self, tmp_path, capsys, monkeypatch, outputs):
+        # one file cannot hold two of the aggregate, raw and sidecar outputs
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        rc = main(["bench", "--vm-counts", "8", "--servers", "4", "--reps", "1", "--algorithms", "ffd", *outputs])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"] and not any((tmp_path / "sub").iterdir())
+
     def test_creates_output_directory(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "s.csv"
         rc = main(["bench", "--vm-counts", "8", "--servers", "4", "--reps", "1", "--algorithms", "ffd",

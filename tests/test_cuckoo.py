@@ -152,9 +152,9 @@ def assert_batch_repair_matches_rows(problem, rows):
     loads are scratch.
     """
     rows = np.array(rows, dtype=np.int64).reshape(-1, problem.n)
-    cpu, mem, counts = batch_loads(problem, rows)
+    cpu, mem, counts = loads = batch_loads(problem, rows)
     batch = rows.copy()
-    changed = _repair_rows(problem, batch, cpu.copy(), mem.copy())
+    changed = _repair_rows(problem, batch, loads[:2].copy())
     single = [rows.copy(), cpu.copy(), mem.copy(), counts.copy()]
     expected = [_repair_row(problem, *(arr[r] for arr in single)) for r in range(len(rows))]
     assert changed.dtype == bool and changed.tolist() == expected
@@ -201,6 +201,10 @@ class TestRepairRows:
             # the 0.9 it is 1.0000000000000002, and adding the 0.9 back gives 1.9,
             # so the evicted VM returns to its own server: changed, row the same
             ([(1.9, 10)], [(0.2, 1), (0.9, 1), (0.8, 1)], [[0, 0, 0]], [True]),
+            # server 1's load stays 0.2 + 0.1 - 0.2 - 0.1 = 2.8e-17 over its 1e-300
+            # capacity once both its VMs have moved: it hosts nothing, so the row
+            # gives up there, changed, rather than evict a VM from elsewhere
+            ([(1e-300, 1e-300), (10, 10), (10, 10)], [(0.1, 0.1), (0.2, 0.2), (5, 5)], [[0, 0, 1]], [True]),
         ],
     )
     def test_named_cases(self, servers, vms, rows, expected):
@@ -209,9 +213,9 @@ class TestRepairRows:
     def test_evicted_vm_fits_back_by_one_ulp(self):
         p = make_problem([(1.9, 10)], [(0.2, 1), (0.9, 1), (0.8, 1)])
         rows = np.zeros((1, 3), dtype=np.int64)
-        cpu, mem, _ = batch_loads(p, rows)
-        assert cpu[0, 0] > 1.9
-        assert _repair_rows(p, rows, cpu, mem).tolist() == [True]
+        loads = batch_loads(p, rows)
+        assert loads[0, 0, 0] > 1.9
+        assert _repair_rows(p, rows, loads[:2]).tolist() == [True]
         assert rows.tolist() == [[0, 0, 0]]
         placement = Placement((1, 1, 1))
         fixed = repair(p, placement)
@@ -295,12 +299,12 @@ def _old_evaluate_rows(problem, rows, weights):
     ))
     if bad.size:
         repaired = rows[bad]
-        changed = _repair_rows(problem, repaired, cpu_used[bad], mem_used[bad])
+        changed = _repair_rows(problem, repaired, np.array((cpu_used[bad], mem_used[bad])))
         if changed.any():
             idx = bad[changed]
             rows[idx] = repaired[changed]
             cpu_used[idx], mem_used[idx], counts[idx] = _old_batch_loads(problem, rows[idx])
-    objs = batch_objectives(problem, cpu_used, mem_used, counts)
+    objs = batch_objectives(problem, np.array((cpu_used, mem_used, counts)))
     return objs, batch_scalarize(objs, weights)
 
 

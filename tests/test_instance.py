@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,3 +218,31 @@ class TestDemandMeasure:
         p = make_problem([(10, 20), (30, 20)], [(4, 8), (6, 2), (1, 1)])
         expected = 0.5 * p.vm_cpu / 20.0 + 0.5 * p.vm_mem / 20.0
         assert np.allclose(p.vm_demand_measure, expected)
+
+
+class TestStackedArrays:
+    def test_shapes_and_read_only(self):
+        p = make_problem([(10, 20), (30, 40)], [(4, 8), (6, 2), (1, 1)], alpha=0.3, beta=0.7)
+        assert p.capacity.tolist() == [[10.0, 30.0], [20.0, 40.0]]
+        assert p.demand.tolist() == [[4.0, 6.0, 1.0], [8.0, 2.0, 1.0]]
+        assert p.weight.tolist() == [0.3, 0.7] and p.mean_capacity.tolist() == [20.0, 30.0]
+        for arr in (p.capacity, p.demand, p.weight, p.mean_capacity, p.server_mem, p.vm_cpu):
+            assert not arr.flags.writeable
+
+    def test_built_on_first_use(self):
+        # building them at construction would add array work to every instance load
+        p = make_problem([(10, 20)], [(4, 8)])
+        assert not {"capacity", "demand", "weight", "mean_capacity"} & set(vars(p))
+
+    def test_per_resource_views_stay_in_instance(self):
+        """Outside ``instance.py`` the package reads the stacked arrays, never a cpu or mem view."""
+        pattern = re.compile(r"\b(server_cpu|server_mem|vm_cpu|vm_mem|mean_cpu|mean_mem)\b")
+        package = Path(__file__).resolve().parents[1] / "src" / "vmplace"
+        hits = [
+            f"{path.name}:{number}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "instance.py"
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert hits == []

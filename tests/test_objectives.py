@@ -16,9 +16,13 @@ from vmplace import (
     resource_waste,
     scalarize,
 )
-from vmplace.objectives import batch_loads, batch_objectives, batch_scalarize
+from vmplace.objectives import _fits, _slack, _utilization, batch_loads, batch_objectives, batch_scalarize
 
 from conftest import make_problem, random_problem
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
 def placed(servers, vms, assign, alpha=0.5, beta=0.5):
@@ -79,6 +83,48 @@ def legacy_scalarize(objs, weights):
 _SIZES = st.one_of(st.integers(1, 16).map(lambda k: k / 2), st.floats(0.1, 9.0))
 
 
+# Literal copies of the two-resource rules that took cpu and mem loads apart,
+# before every rule took one stacked (2, ..., m) load.
+def legacy_batch_loads(problem, rows):
+    rows = np.atleast_2d(rows)
+    k, n = rows.shape
+    m = problem.m
+    flat = (rows + np.arange(k)[:, None] * m).ravel()
+    size = k * m
+    cpu_used = np.bincount(flat, weights=np.tile(problem.vm_cpu, (k, 1)).ravel(), minlength=size)
+    mem_used = np.bincount(flat, weights=np.tile(problem.vm_mem, (k, 1)).ravel(), minlength=size)
+    counts = np.bincount(flat, minlength=size)
+    return cpu_used.reshape(k, m), mem_used.reshape(k, m), counts.reshape(k, m)
+
+
+def legacy_fits(problem, cpu, mem):
+    return np.array((cpu <= problem.server_cpu, mem <= problem.server_mem))
+
+
+def legacy_utilization(problem, cpu, mem):
+    return problem.alpha * cpu / problem.server_cpu + problem.beta * mem / problem.server_mem
+
+
+def legacy_slack(problem, cpu, mem):
+    mean_cpu, mean_mem = float(problem.server_cpu.mean()), float(problem.server_mem.mean())
+    return (
+        problem.alpha * (problem.server_cpu - cpu) / mean_cpu
+        + problem.beta * (problem.server_mem - mem) / mean_mem
+    )
+
+
+@st.composite
+def load_batches(draw):
+    """A problem with drawn resource weights and a batch of 0-based rows."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 10))
+    servers = [(draw(_SIZES), draw(_SIZES)) for _ in range(m)]
+    vms = [(draw(_SIZES), draw(_SIZES)) for _ in range(n)]
+    alpha = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=n, max_size=n), min_size=1, max_size=8))
+    return make_problem(servers, vms, alpha, 1.0 - alpha), np.array(rows, dtype=np.int64)
+
+
 @st.composite
 def placements(draw):
     m = draw(st.integers(1, 5))
@@ -109,6 +155,27 @@ class TestLegacyReference:
         # server 1 exactly full, server 2 over on both resources by 0.5 and 1
         p, s = placed([(4, 4), (4, 4)], [(2.5, 1.5), (1.5, 2.5), (4.5, 5)], (1, 1, 2))
         assert check_feasible(p, s) == legacy_check_feasible(p, s) == (False, [(2, "cpu", 0.5), (2, "mem", 1.0)])
+
+    @settings(max_examples=300)
+    @given(case=load_batches())
+    def test_stacked_rules_match_two_resource_rules(self, case):
+        problem, rows = case
+        loads = batch_loads(problem, rows)
+        cpu, mem, counts = legacy_batch_loads(problem, rows)
+        assert loads.shape == (3, len(rows), problem.m)
+        assert _bits(loads[0], loads[1]) == _bits(cpu, mem)
+        assert loads[2].tolist() == counts.tolist()
+        # the batch, each row alone, and a load exactly at capacity
+        cases = [(loads[:2], cpu, mem), *((loads[:2, r], cpu[r], mem[r]) for r in range(len(rows)))]
+        cases.append((problem.capacity.copy(), problem.server_cpu.copy(), problem.server_mem.copy()))
+        for load, cpu_load, mem_load in cases:
+            assert _bits(_fits(problem, load)) == _bits(legacy_fits(problem, cpu_load, mem_load))
+            assert _bits(_utilization(problem, load)) == _bits(legacy_utilization(problem, cpu_load, mem_load))
+            assert _bits(_slack(problem, load)) == _bits(legacy_slack(problem, cpu_load, mem_load))
+        # the former per-resource demand measure
+        mean_cpu, mean_mem = float(problem.server_cpu.mean()), float(problem.server_mem.mean())
+        measure = problem.alpha * problem.vm_cpu / mean_cpu + problem.beta * problem.vm_mem / mean_mem
+        assert _bits(problem.vm_demand_measure) == _bits(measure)
 
     @settings(max_examples=500)
     @given(a=_VECTORS, b=_VECTORS)
@@ -242,7 +309,7 @@ class TestBatchPath:
         rng = np.random.default_rng(seed)
         p = random_problem(rng)
         rows = rng.integers(0, p.m, (8, p.n))
-        objs = batch_objectives(p, *batch_loads(p, rows))
+        objs = batch_objectives(p, batch_loads(p, rows))
         scalars = batch_scalarize(objs, ScalarWeights())
         for i in range(rows.shape[0]):
             placement = Placement(tuple(int(v) + 1 for v in rows[i]))
