@@ -140,7 +140,7 @@ def sample_assignments(bank: AutomatonBank, k: int, rng: np.random.Generator) ->
     cum = np.cumsum(bank.probs, axis=1).T.copy()
     u = rng.random((k, bank.n))
     idx = (cum[:, None, :] <= u).sum(axis=0)
-    if idx.max() == bank.m:  # a draw at or above a row total that rounded below 1: take its last positive action
+    if idx.max(initial=0) == bank.m:  # a draw at or above a row total that rounded below 1: take its last positive action
         idx = np.minimum(idx, bank.m - 1 - np.argmax(bank.probs[:, ::-1] > 0, axis=1))
     return idx
 

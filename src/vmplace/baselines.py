@@ -11,7 +11,7 @@ import numpy as np
 # _evaluate_rows is not called here: the solvers evaluate through _Run.  The
 # name stays bound because perfbench/tracing.py patches it in this module.
 from .cuckoo import ParetoArchive, SolveResult, _Batch, _evaluate_rows, _Run  # noqa: F401
-from .instance import Placement, PlacementProblem
+from .instance import Placement, PlacementProblem, _checked_count
 from .objectives import ObjectiveVector, ScalarWeights, _fits, _slack, batch_loads, batch_objectives, batch_scalarize
 
 __all__ = [
@@ -44,9 +44,9 @@ class GaConfig:
     weights: ScalarWeights = field(default_factory=ScalarWeights)
 
     def __post_init__(self) -> None:
-        if self.pop_size < 2:
+        if _checked_count("pop_size", self.pop_size) < 2:
             raise ValueError("pop_size must be at least 2")
-        if self.generations < 0:
+        if _checked_count("generations", self.generations) < 0:
             raise ValueError("generations must be non-negative")
 
 
@@ -60,9 +60,9 @@ class PsoConfig:
     weights: ScalarWeights = field(default_factory=ScalarWeights)
 
     def __post_init__(self) -> None:
-        if self.pop_size < 2:
+        if _checked_count("pop_size", self.pop_size) < 2:
             raise ValueError("pop_size must be at least 2")
-        if self.iterations < 0:
+        if _checked_count("iterations", self.iterations) < 0:
             raise ValueError("iterations must be non-negative")
 
 
@@ -190,7 +190,7 @@ def solve_ffd(problem: PlacementProblem) -> Placement:
         j = int(np.argmax(fits if fits.any() else _slack(problem, load)))
         assign[v] = j
         load[:, j] += demand[:, v]
-    return Placement(tuple(int(v) + 1 for v in assign))
+    return Placement.from_row(assign)
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,8 @@ def brute_force(problem: PlacementProblem, weights: ScalarWeights | None = None)
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         rows = (ids[:, None] // radix) % m
-        objs = batch_objectives(problem, batch_loads(problem, rows))
-        batch = _Batch(rows + 1.0, rows, *objs, batch_scalarize(objs, weights))
+        keys = batch_objectives(problem, batch_loads(problem, rows))
+        batch = _Batch(rows + 1.0, rows, keys, batch_scalarize(keys, weights))
         i = int(np.argmin(batch.scalars))
         if batch.scalars[i] < best_scalar:
             best_scalar = float(batch.scalars[i])
@@ -234,5 +234,5 @@ def brute_force(problem: PlacementProblem, weights: ScalarWeights | None = None)
         archive.offer(batch)
 
     pareto = tuple((nest.decoded, nest.objectives) for nest in archive.nests())
-    best = Placement(tuple(int(v) + 1 for v in best_row))
+    best = Placement.from_row(best_row)
     return BruteForceResult(best, best_vector, best_scalar, pareto)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .baselines import GaConfig, PsoConfig, solve_ffd, solve_ga, solve_pso
 from .cuckoo import SolveResult, SolverConfig, solve
-from .instance import GeneratorConfig, Placement, PlacementProblem, generate_instance, _write_json
+from .instance import GeneratorConfig, Placement, PlacementProblem, _checked_count, _write_json, generate_instance
 from .objectives import ScalarWeights, evaluate, resource_waste
 
 __all__ = [
@@ -115,27 +115,28 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for axis, kind in (("vm_counts", int), ("pop_sizes", int), ("algorithms", str)):
+        for axis in ("vm_counts", "pop_sizes", "algorithms"):
+            kind = str if axis == "algorithms" else partial(_checked_count, axis)
             values = tuple(map(kind, getattr(self, axis)))
             object.__setattr__(self, axis, values)
             if not values:
                 raise ValueError(f"{axis} must be non-empty")
             if len(set(values)) < len(values):
                 raise ValueError(f"{axis} repeats a value: {list(values)}")
-        if self.m < 1:
+        if _checked_count("m", self.m) < 1:
             raise ValueError("m must be at least 1")
         if any(n < self.m for n in self.vm_counts):
             raise ValueError("every vm_count must be at least the server count")
-        if self.reps < 1:
+        if _checked_count("reps", self.reps) < 1:
             raise ValueError("reps must be at least 1")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}; choose from {ALGORITHMS}")
         if any(pop < 2 for pop in self.pop_sizes):
             raise ValueError("every pop size must be at least 2")
-        if self.cycles < 1:
+        if _checked_count("cycles", self.cycles) < 1:
             raise ValueError("cycles must be at least 1")
-        if self.jobs < 1:
+        if _checked_count("jobs", self.jobs) < 1:
             raise ValueError("jobs must be at least 1")
 
 

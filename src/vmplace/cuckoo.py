@@ -11,14 +11,15 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .automata import AutomatonBank, init_bank, sample_assignments, update_from_population
-from .instance import Placement, PlacementProblem
+from .instance import Placement, PlacementProblem, _checked_count
 from .objectives import (
-    BatchObjectives,
     LoadWork,
     ObjectiveVector,
     ScalarWeights,
+    _assign0,
     _fits,
     _slack,
+    _vector,
     _weakly_dominates,
     batch_loads,
     batch_objectives,
@@ -77,9 +78,9 @@ class SolverConfig:
     abandon_strategy: str = "worst_ranked"
 
     def __post_init__(self) -> None:
-        if self.pop_size < 2:
+        if _checked_count("pop_size", self.pop_size) < 2:
             raise ValueError("pop_size must be at least 2")
-        if self.max_cycles < 0:
+        if _checked_count("max_cycles", self.max_cycles) < 0:
             raise ValueError("max_cycles must be non-negative")
         if not 0.0 <= self.p_a <= 1.0:
             raise ValueError("p_a must lie in [0, 1]")
@@ -116,8 +117,7 @@ def decode(position, m: int) -> Placement:
     position = np.asarray(position, dtype=np.float64)
     if np.isnan(position).any():
         raise ValueError("position has a NaN coordinate")
-    a0 = _decode0(position, m)
-    return Placement(tuple(int(v) + 1 for v in a0))
+    return Placement.from_row(_decode0(position, m))
 
 
 def _decode0(
@@ -170,10 +170,9 @@ def repair(problem: PlacementProblem, placement: Placement) -> Placement:
     (float residue after evicting them all); the moves made before then are
     kept, so the result can still be infeasible.
     """
-    placement.validate_for(problem)
-    rows = np.asarray(placement.assign, dtype=np.int64)[None, :] - 1
+    rows = _assign0(problem, placement)[None, :]
     if _repair_rows(problem, rows, batch_loads(problem, rows)[:2])[0]:
-        return Placement(tuple(int(v) + 1 for v in rows[0]))
+        return Placement.from_row(rows[0])
     return placement
 
 
@@ -300,11 +299,11 @@ def _evaluate_rows(
     weights: ScalarWeights,
     *,
     work: _Workspace | None = None,
-) -> tuple[np.ndarray, BatchObjectives, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Repair the infeasible rows in place, then score the batch.
 
-    Returns the indices of the rows the repair changed, the objective
-    columns and the scalar column.  Loads of the changed rows are recomputed
+    Returns the indices of the rows the repair changed, the ``(k, 4)`` key
+    rows and the scalar column.  Loads of the changed rows are recomputed
     from scratch so scores match a from-scratch evaluation bit for bit.
     """
     if work is None:
@@ -320,17 +319,17 @@ def _evaluate_rows(
             fixed = repaired[moved]
             rows[changed] = fixed
             loads[:, changed] = batch_loads(problem, fixed, work=work)
-    objs = batch_objectives(problem, loads)
-    return changed, objs, batch_scalarize(objs, weights)
+    keys = batch_objectives(problem, loads)
+    return changed, keys, batch_scalarize(keys, weights)
 
 
 class ParetoArchive:
     """Bounded set of mutually non-dominated entries; feasible trumps infeasible.
 
-    At most one entry is kept per distinct objective vector.  Members are four
-    parallel arrays in insertion order: ``(k, 4)`` keys for the dominance
-    kernel, positions, rows and scalars.  Past the cap, the member nearest
-    another in min-max-normalized objective space is dropped until it holds.
+    At most one entry is kept per distinct objective vector.  Members are a
+    ``_Batch``'s columns in insertion order: key rows, positions, rows and
+    scalars.  Past the cap, the member nearest another in min-max-normalized
+    objective space is dropped until it holds.
     """
 
     def __init__(self, cap: int | None):
@@ -341,9 +340,9 @@ class ParetoArchive:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def rejects(self, cand: np.ndarray, cand_feas: np.ndarray) -> np.ndarray:
-        """True where a current member beats or equals the candidate."""
-        return _weakly_dominates(self._keys, np.column_stack((cand, cand_feas))).any(axis=0)
+    def rejects(self, keys: np.ndarray) -> np.ndarray:
+        """True where a current member beats or equals the candidate key row."""
+        return _weakly_dominates(self._keys, keys).any(axis=0)
 
     def offer(self, batch: _Batch) -> int:
         """Merge ``batch`` into the archive; returns the number of rows inserted.
@@ -355,13 +354,12 @@ class ParetoArchive:
         order, and each block is thinned only once merged: while no block takes
         the archive past its cap, this is offering the rows one at a time.
         """
-        keys = np.column_stack((batch.utilization, batch.load_balance, batch.active_fraction, batch.feasible))
-        fresh = np.flatnonzero(~self.rejects(keys[:, :3], keys[:, 3]))
+        fresh = np.flatnonzero(~self.rejects(batch.keys))
         inserted = 0
         for start in range(0, fresh.size, ARCHIVE_CAP):
             block = fresh[start : start + ARCHIVE_CAP]
             k = len(self)
-            merged = np.concatenate((self._keys, keys[block]))
+            merged = np.concatenate((self._keys, batch.keys[block]))
             # Weak dominance is transitive, so one pass over members plus block
             # finds the survivors: an entry leaves when another beats it
             # strictly or an earlier one equals it.
@@ -390,30 +388,21 @@ class ParetoArchive:
         return idx
 
     def nests(self) -> tuple[Nest, ...]:
-        vectors = zip(*self._keys[:, :3].T.tolist(), self._keys[:, 3].astype(bool).tolist())
-        rows = (self._rows + 1).tolist()
-        return tuple(Nest(position, Placement(tuple(row)), ObjectiveVector(*vector), scalar)
-                     for position, row, vector, scalar in zip(self._positions, rows, vectors, self._scalars.tolist()))
+        members = zip(self._positions, self._rows, self._keys, self._scalars.tolist())
+        return tuple(Nest(position, Placement.from_row(row), _vector(key), scalar)
+                     for position, row, key, scalar in members)
 
 
 class _Batch(NamedTuple):
-    """Evaluated candidates: snapped positions, repaired 0-based rows, objective columns, scalars."""
+    """Evaluated candidates: snapped positions, repaired 0-based rows, ``batch_objectives`` key rows, scalars."""
 
     positions: np.ndarray
     rows: np.ndarray
-    utilization: np.ndarray
-    load_balance: np.ndarray
-    active_fraction: np.ndarray
-    feasible: np.ndarray
+    keys: np.ndarray
     scalars: np.ndarray
 
     def vector(self, i: int) -> ObjectiveVector:
-        return ObjectiveVector(
-            float(self.utilization[i]),
-            float(self.load_balance[i]),
-            float(self.active_fraction[i]),
-            bool(self.feasible[i]),
-        )
+        return _vector(self.keys[i])
 
     def entry(self, i: int) -> tuple:
         """Copies of entry ``i``: position, row, objective vector and scalar."""
@@ -464,8 +453,8 @@ class _Run:
     def evaluate_rows(self, rows: np.ndarray) -> _Batch:
         """Repair and score 0-based ``rows`` in place; the positions are ``rows + 1``."""
         work = self._workspace(rows.shape[0])
-        _, objs, scalars = _evaluate_rows(self.problem, rows, self.weights, work=work)
-        return _Batch(np.add(rows, 1.0, out=work.positions[: rows.shape[0]]), rows, *objs, scalars)
+        _, keys, scalars = _evaluate_rows(self.problem, rows, self.weights, work=work)
+        return _Batch(np.add(rows, 1.0, out=work.positions[: rows.shape[0]]), rows, keys, scalars)
 
     def evaluate(self, positions: np.ndarray) -> _Batch:
         """Score ``positions``; coordinates the repair moved snap onto their new server.
@@ -477,12 +466,12 @@ class _Run:
         work = self._workspace(k)
         snapped = work.positions[:k]
         rows = _decode0(positions, m, out=work.rows[:k], scratch=snapped)
-        changed, objs, scalars = _evaluate_rows(self.problem, rows, self.weights, work=work)
+        changed, keys, scalars = _evaluate_rows(self.problem, rows, self.weights, work=work)
         np.copyto(snapped, positions)
         if changed.size:
             old, new = positions[changed], rows[changed]
             snapped[changed] = np.where(new != _decode0(old, m), new + 1.0, old)
-        return _Batch(snapped, rows, *objs, scalars)
+        return _Batch(snapped, rows, keys, scalars)
 
     def record(self, batch: _Batch, cycle: int = 0) -> None:
         """Update the best-so-far and the archive; from cycle 1 on, log history and trace."""
@@ -491,7 +480,7 @@ class _Run:
         if scalars[i] < self.scalar:
             self.scalar = float(scalars[i])
             self.best = batch.entry(i)
-        feas = np.flatnonzero(batch.feasible)
+        feas = np.flatnonzero(batch.keys[:, 3])
         if feas.size:
             i = int(feas[np.argmin(scalars[feas])])
             if scalars[i] < self.feasible_scalar:
@@ -506,7 +495,7 @@ class _Run:
 
     def result(self, cycles_run: int) -> SolveResult:
         position, row, vector, scalar = self.feasible_best or self.best
-        best = Nest(position, Placement(tuple(int(v) + 1 for v in row)), vector, scalar)
+        best = Nest(position, Placement.from_row(row), vector, scalar)
         wall = time.perf_counter() - self.t0
         return SolveResult(best, self.archive.nests(), tuple(self.history), wall, cycles_run)
 

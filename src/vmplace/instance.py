@@ -150,6 +150,11 @@ class Placement:
         if min(assign) < 1:
             raise ValueError("server indices are 1-based")
 
+    @classmethod
+    def from_row(cls, row: np.ndarray) -> Placement:
+        """The placement of a row of 0-based server indices, as the solvers hold them."""
+        return cls(tuple((row + 1).tolist()))
+
     def __len__(self) -> int:
         return len(self.assign)
 
@@ -177,9 +182,9 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "cpu_range", _checked_range("cpu_range", self.cpu_range))
         object.__setattr__(self, "mem_range", _checked_range("mem_range", self.mem_range))
-        if self.m < 1:
+        if _checked_count("m", self.m) < 1:
             raise ValueError("need at least one server")
-        if self.n < self.m:
+        if _checked_count("n", self.n) < self.m:
             raise ValueError("need at least as many VMs as servers (n >= m)")
         if not 0.0 < self.demand_floor_ratio < 1.0:
             raise ValueError("demand_floor_ratio must lie in (0, 1)")
@@ -192,6 +197,14 @@ def _check_weights(alpha: float, beta: float) -> None:
         raise ValueError("alpha and beta must lie in [0, 1]")
     if abs(alpha + beta - 1.0) > _WEIGHT_TOL:
         raise ValueError("alpha + beta must equal 1")
+
+
+def _checked_count(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless ``operator.index`` accepts it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _checked_range(name: str, rng: tuple[float, float]) -> tuple[float, float]:

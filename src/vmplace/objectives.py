@@ -60,16 +60,8 @@ class ScalarWeights:
             raise ValueError("infeasibility_penalty must be positive")
 
 
-class BatchObjectives(NamedTuple):
-    """Objective columns for a batch of assignment rows (solver fast path)."""
-
-    utilization: np.ndarray
-    load_balance: np.ndarray
-    active_fraction: np.ndarray
-    feasible: np.ndarray
-
-
 def _assign0(problem: PlacementProblem, placement: Placement) -> np.ndarray:
+    """The 0-based row of ``placement``, checked against ``problem``; ``Placement.from_row`` inverts it."""
     placement.validate_for(problem)
     return np.asarray(placement.assign, dtype=np.int64) - 1
 
@@ -140,8 +132,13 @@ def _slack(problem: PlacementProblem, load: np.ndarray) -> np.ndarray:
     return free.sum(axis=0)
 
 
-def batch_objectives(problem: PlacementProblem, loads: np.ndarray) -> BatchObjectives:
-    """Objective columns of the rows whose ``batch_loads`` result is ``loads``."""
+def batch_objectives(problem: PlacementProblem, loads: np.ndarray) -> np.ndarray:
+    """``(k, 4)`` key rows of the rows whose ``batch_loads`` result is ``loads``.
+
+    A key row is (utilization, load balance, active fraction, feasible), with
+    feasible as 1.0 or 0.0: the one layout that scoring, batches, the archive
+    and the dominance kernel share.
+    """
     load, counts = loads[:2], loads[2]
     util = _utilization(problem, load)
     active = counts > 0
@@ -151,17 +148,20 @@ def batch_objectives(problem: PlacementProblem, loads: np.ndarray) -> BatchObjec
     load_balance = np.sqrt((dev * dev).sum(axis=1) / active_n)
     active_fraction = active_n / problem.m
     feasible = _fits(problem, load).all(axis=(0, 2))
-    return BatchObjectives(util_mean, load_balance, active_fraction, feasible)
+    return np.column_stack((util_mean, load_balance, active_fraction, feasible))
 
 
-def batch_scalarize(objs: BatchObjectives | ObjectiveVector, weights: ScalarWeights) -> np.ndarray:
-    """Weighted score per row, lower is better; each infeasible row adds a flat penalty."""
-    base = (
-        weights.w_util * (1.0 - objs.utilization)
-        + weights.w_lb * objs.load_balance
-        + weights.w_active * objs.active_fraction
-    )
-    return base + np.where(objs.feasible, 0.0, weights.infeasibility_penalty)
+def _vector(key: np.ndarray) -> ObjectiveVector:
+    """The ``ObjectiveVector`` of one key row."""
+    utilization, load_balance, active_fraction, feasible = key.tolist()
+    return ObjectiveVector(utilization, load_balance, active_fraction, bool(feasible))
+
+
+def batch_scalarize(keys: np.ndarray | tuple, weights: ScalarWeights) -> np.ndarray:
+    """Weighted score per key row, lower is better; each infeasible row adds a flat penalty."""
+    utilization, load_balance, active_fraction, feasible = np.asarray(keys, dtype=np.float64).T
+    base = weights.w_util * (1.0 - utilization) + weights.w_lb * load_balance + weights.w_active * active_fraction
+    return base + np.where(feasible, 0.0, weights.infeasibility_penalty)
 
 
 def resource_waste(problem: PlacementProblem, placement: Placement) -> float:
@@ -191,21 +191,15 @@ def check_feasible(problem: PlacementProblem, placement: Placement) -> tuple[boo
 
 def evaluate(problem: PlacementProblem, placement: Placement) -> ObjectiveVector:
     """All three objectives plus feasibility for one placement (pure)."""
-    objs = batch_objectives(problem, batch_loads(problem, _assign0(problem, placement)[None, :]))
-    return ObjectiveVector(
-        float(objs.utilization[0]),
-        float(objs.load_balance[0]),
-        float(objs.active_fraction[0]),
-        bool(objs.feasible[0]),
-    )
+    return _vector(batch_objectives(problem, batch_loads(problem, _assign0(problem, placement)[None, :]))[0])
 
 
 def _weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``(len a, len b)`` matrix: True where key row ``a[i]`` beats or equals ``b[j]``.
 
-    Key rows are (utilization, load balance, active fraction, feasible).
-    Feasible beats infeasible; within a class, a row wins when it is at least
-    as high on utilization and at most as high on the other two.
+    Key rows are as ``batch_objectives`` returns them.  Feasible beats
+    infeasible; within a class, a row wins when it is at least as high on
+    utilization and at most as high on the other two.
     """
     fa, fb = a[:, 3, None], b[None, :, 3]
     ge = (a[:, 0, None] >= b[None, :, 0]) & (a[:, 1, None] <= b[None, :, 1]) & (a[:, 2, None] <= b[None, :, 2])
@@ -221,4 +215,4 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 
 def scalarize(objs: ObjectiveVector, weights: ScalarWeights) -> float:
     """Weighted single score, lower is better; infeasibility adds a flat penalty."""
-    return float(batch_scalarize(objs, weights))
+    return float(batch_scalarize(astuple(objs), weights))

@@ -122,6 +122,11 @@ class TestSampling:
         assert draws.shape == (100, 1)
         assert (draws == 1).all()
 
+    def test_zero_draws_give_empty_rows(self):
+        draws = sample_assignments(init_bank(4, 3), 0, np.random.default_rng(0))
+        assert draws.shape == (0, 4)
+        assert draws.dtype.kind == "i"
+
     def test_deterministic_for_seed(self):
         bank = init_bank(4, 3)
         a = sample_assignments(bank, 1, np.random.default_rng(9))

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ class TestEvaluateRows:
             # a repaired copy is often feasible, so the batch mixes both kinds
             rows[0] = np.array(repair(p, Placement(tuple(int(v) + 1 for v in rows[1]))).assign) - 1
             before = rows.copy()
-            changed, objs, scalars = _evaluate_rows(p, rows, weights)
+            changed, keys, scalars = _evaluate_rows(p, rows, weights)
             repaired = []
             for r, row in enumerate(before):
                 placement = Placement(tuple(int(v) + 1 for v in row))
@@ -260,8 +261,8 @@ class TestEvaluateRows:
                     repaired.append(r)
                 vector = evaluate(p, fixed)
                 assert tuple(int(v) + 1 for v in rows[r]) == fixed.assign
-                assert (objs.utilization[r], objs.load_balance[r]) == (vector.utilization, vector.load_balance)
-                assert (objs.active_fraction[r], objs.feasible[r]) == (vector.active_fraction, vector.feasible)
+                assert (keys[r, 0], keys[r, 1]) == (vector.utilization, vector.load_balance)
+                assert (keys[r, 2], keys[r, 3]) == (vector.active_fraction, vector.feasible)
                 assert scalars[r] == scalarize(vector, weights)
                 if check_feasible(p, placement)[0]:
                     seen["feasible"] += 1
@@ -304,15 +305,15 @@ def _old_evaluate_rows(problem, rows, weights):
             idx = bad[changed]
             rows[idx] = repaired[changed]
             cpu_used[idx], mem_used[idx], counts[idx] = _old_batch_loads(problem, rows[idx])
-    objs = batch_objectives(problem, np.array((cpu_used, mem_used, counts)))
-    return objs, batch_scalarize(objs, weights)
+    keys = batch_objectives(problem, np.array((cpu_used, mem_used, counts)))
+    return keys, batch_scalarize(keys, weights)
 
 
 def _old_evaluate(problem, weights, positions):
     rows = _old_decode0(positions, problem.m)
     before = rows.copy()
-    objs, scalars = _old_evaluate_rows(problem, rows, weights)
-    return _Batch(np.where(rows != before, rows + 1.0, positions), rows, *objs, scalars)
+    keys, scalars = _old_evaluate_rows(problem, rows, weights)
+    return _Batch(np.where(rows != before, rows + 1.0, positions), rows, keys, scalars)
 
 
 def _old_levy(rng, beta, shape):
@@ -421,10 +422,8 @@ def _batch(rng: np.random.Generator, scalars: list[float], n: int) -> _Batch:
     return _Batch(
         rng.uniform(1.0, 5.0, (k, n)),
         rng.integers(0, 5, (k, n)),
-        rng.uniform(0.0, 1.0, k),
-        rng.uniform(0.0, 1.0, k),
-        rng.uniform(0.0, 1.0, k),
-        rng.random(k) < 0.5,
+        np.column_stack((rng.uniform(0.0, 1.0, k), rng.uniform(0.0, 1.0, k), rng.uniform(0.0, 1.0, k),
+                         rng.random(k) < 0.5)),
         np.array(scalars, dtype=np.float64),
     )
 
@@ -581,9 +580,8 @@ def _nest_bits(nest: Nest) -> tuple:
 def _entry_batch(entries) -> _Batch:
     """A batch whose rows are the (position, row, objective vector, scalar) ``entries``."""
     positions, rows, vectors, scalars = zip(*entries)
-    columns = zip(*((v.utilization, v.load_balance, v.active_fraction, v.feasible) for v in vectors))
     return _Batch(np.array(positions, dtype=np.float64), np.array(rows, dtype=np.int64),
-                  *(np.array(column) for column in columns), np.array(scalars, dtype=np.float64))
+                  np.array([astuple(v) for v in vectors], dtype=np.float64), np.array(scalars, dtype=np.float64))
 
 
 def _reference_offer(reference: ListParetoArchive, entries) -> int:
@@ -636,7 +634,8 @@ class TestParetoArchive:
             else:
                 assert inserted == _reference_offer(reference, entries)
             assert len(archive) == len(reference)
-            assert archive.rejects(cand, cand_feas).tolist() == reference.rejects(cand, cand_feas).tolist()
+            keys = np.column_stack((cand, cand_feas))
+            assert archive.rejects(keys).tolist() == reference.rejects(cand, cand_feas).tolist()
             assert [_nest_bits(n) for n in archive.nests()] == [_nest_bits(n) for n in reference.nests()]
 
     def test_uncapped_batch_spans_blocks(self):

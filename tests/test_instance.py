@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmplace import (
+    GaConfig,
     GeneratorConfig,
     GeneratorError,
     Placement,
     PlacementProblem,
+    PsoConfig,
     ResourceVector,
+    SolverConfig,
+    SweepConfig,
     generate_instance,
     read_instance,
     read_placement,
@@ -21,6 +26,7 @@ from vmplace import (
     write_instance,
     write_placement,
 )
+from vmplace.objectives import _assign0
 
 from conftest import make_problem
 
@@ -78,6 +84,14 @@ class TestPlacement:
         with pytest.raises(ValueError):
             Placement((1, 2)).validate_for(split_problem)
 
+    def test_from_row_is_one_based_ints_and_inverts_assign0(self, split_problem):
+        row = np.array([0, 1, 1, 0], dtype=np.int64)
+        placement = Placement.from_row(row)
+        assert placement.assign == (1, 2, 2, 1)
+        assert all(type(v) is int for v in placement.assign)
+        assert np.array_equal(_assign0(split_problem, placement), row)
+        assert Placement.from_row(_assign0(split_problem, placement)) == placement
+
 
 class TestTotalCapacity:
     def test_two_servers(self):
@@ -111,6 +125,31 @@ class TestGeneratorConfig:
             GeneratorConfig(m=2, n=5, demand_floor_ratio=1.0)
         with pytest.raises(ValueError):
             GeneratorConfig(m=2, n=5, demand_floor_ratio=0.0)
+
+
+@pytest.mark.parametrize(
+    ("config", "field", "value"),
+    [
+        (SolverConfig, "pop_size", 2.5),
+        (SolverConfig, "max_cycles", 1.5),
+        (GaConfig, "pop_size", 2.5),
+        (GaConfig, "generations", 2.5),
+        (PsoConfig, "pop_size", 2.5),
+        (PsoConfig, "iterations", 1.5),
+        (partial(GeneratorConfig, n=4), "m", 2.5),
+        (partial(GeneratorConfig, m=2), "n", 4.5),
+        (SweepConfig, "vm_counts", (20.7,)),
+        (SweepConfig, "pop_sizes", (10.5,)),
+        (SweepConfig, "m", 2.5),
+        (SweepConfig, "reps", 1.5),
+        (SweepConfig, "cycles", 1.5),
+        (SweepConfig, "jobs", 1.5),
+    ],
+)
+def test_count_fields_reject_non_integers(config, field, value):
+    """Every count field of every config refuses a non-integer at construction, naming the field."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        config(**{field: value})
 
 
 def _check_generator_invariants(problem: PlacementProblem, floor: float) -> None:

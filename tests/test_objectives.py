@@ -16,7 +16,7 @@ from vmplace import (
     resource_waste,
     scalarize,
 )
-from vmplace.objectives import _fits, _slack, _utilization, batch_loads, batch_objectives, batch_scalarize
+from vmplace.objectives import _fits, _slack, _utilization, _vector, batch_loads, batch_objectives, batch_scalarize
 
 from conftest import make_problem, random_problem
 
@@ -309,16 +309,36 @@ class TestBatchPath:
         rng = np.random.default_rng(seed)
         p = random_problem(rng)
         rows = rng.integers(0, p.m, (8, p.n))
-        objs = batch_objectives(p, batch_loads(p, rows))
-        scalars = batch_scalarize(objs, ScalarWeights())
+        keys = batch_objectives(p, batch_loads(p, rows))
+        scalars = batch_scalarize(keys, ScalarWeights())
         for i in range(rows.shape[0]):
             placement = Placement(tuple(int(v) + 1 for v in rows[i]))
             single = evaluate(p, placement)
-            assert objs.utilization[i] == single.utilization
-            assert objs.load_balance[i] == single.load_balance
-            assert objs.active_fraction[i] == single.active_fraction
-            assert bool(objs.feasible[i]) == single.feasible
+            assert keys[i, 0] == single.utilization
+            assert keys[i, 1] == single.load_balance
+            assert keys[i, 2] == single.active_fraction
+            assert bool(keys[i, 3]) == single.feasible
             assert scalars[i] == scalarize(single, ScalarWeights())
+
+    @settings(max_examples=50)
+    @given(seed=st.integers(0, 2**31), headroom=st.sampled_from([1.0, 1.1, 1.5]))
+    def test_key_rows_are_the_evaluate_vectors(self, seed, headroom):
+        """Every key row of a batch mixing feasible and overloaded rows reads back as ``evaluate``'s vector."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 6))
+        vms = rng.uniform(0.5, 6.0, (int(rng.integers(m, 3 * m + 1)), 2))
+        spread = np.arange(len(vms))[None, :] % m
+        # Servers are sized to the round-robin row's loads, so that row fits (at
+        # headroom 1.0 exactly at capacity).  Piled on the server of least cpu
+        # load, the VMs need at least m >= 2 times that load: above its capacity.
+        loads = batch_loads(make_problem([(1.0, 1.0)] * m, vms), spread)[:2, 0]
+        p = make_problem(headroom * loads.T, vms)
+        piled = np.full_like(spread, np.argmin(loads[0]))
+        rows = np.concatenate((spread, piled, rng.integers(0, m, (6, len(vms)))))
+        keys = batch_objectives(p, batch_loads(p, rows))
+        assert set(keys[:, 3].tolist()) == {0.0, 1.0}
+        for row, key in zip(rows, keys):
+            assert _vector(key) == evaluate(p, Placement.from_row(row))
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2**31))
