@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -10,7 +9,7 @@ import numpy as np
 
 # _evaluate_rows is not called here: the solvers evaluate through _Run.  The
 # name stays bound because perfbench/tracing.py patches it in this module.
-from .cuckoo import ParetoArchive, SolveResult, _Batch, _evaluate_rows, _Run  # noqa: F401
+from .cuckoo import SolveResult, _Batch, _evaluate_rows, _Run, _search  # noqa: F401
 from .instance import Placement, PlacementProblem, _checked_count
 from .objectives import ObjectiveVector, ScalarWeights, _fits, _slack, batch_loads, batch_objectives, batch_scalarize
 
@@ -73,15 +72,15 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
     are inherited.  Each generation produces one child per tournament pair
     plus a single elite copy of the best individual.
     """
-    run = _Run(problem, config.weights, trace)
-    m, n = problem.m, problem.n
-    if m == 1:
-        return run.single_server()
+    return _search(problem, config, config.generations, trace, _ga)
 
-    rng = np.random.default_rng(config.seed)
+
+def _ga(run: _Run, rng: np.random.Generator, config: GaConfig):
+    """``solve_ga``'s moves: yields the initial population, then each generation's."""
+    m, n = run.problem.m, run.problem.n
     pop = config.pop_size
     population = run.evaluate_rows(rng.integers(0, m, (pop, n))).copy()
-    run.record(population)
+    yield population
 
     # Per-solve buffers: the children, the second parents' rows, the
     # mutation draws and one (pop - 1, n) mask.
@@ -90,7 +89,7 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
     draws = np.empty(children.shape)
     mask = np.empty(children.shape, dtype=bool)
     cols = np.arange(n)
-    for generation in range(1, config.generations + 1):
+    while True:
         rows, scalars = population.rows, population.scalars
         elite = int(np.argmin(scalars))
         tours = rng.integers(0, pop, (pop - 1, 4))
@@ -111,9 +110,7 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
         offspring = run.evaluate_rows(children)
         population.put(0, population, elite)
         population.put(slice(1, None), offspring, slice(None))
-        run.record(population, generation)
-
-    return run.result(config.generations)
+        yield population
 
 
 def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None = None) -> SolveResult:
@@ -124,24 +121,24 @@ def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None
     coordinates onto their repaired server index, so recorded attractors
     always decode to the placement that earned their score.
     """
-    run = _Run(problem, config.weights, trace)
-    m, n = problem.m, problem.n
-    if m == 1:
-        return run.single_server()
+    return _search(problem, config, config.iterations, trace, _pso)
 
-    rng = np.random.default_rng(config.seed)
+
+def _pso(run: _Run, rng: np.random.Generator, config: PsoConfig):
+    """``solve_pso``'s moves: yields the initial swarm, then the swarm after each move."""
+    m, n = run.problem.m, run.problem.n
     pop = config.pop_size
     v_max = 0.5 * (m - 1)
     X = rng.uniform(1.0, float(m), (pop, n))
     V = np.zeros((pop, n))
 
     swarm = run.evaluate(X)
-    run.record(swarm)
+    yield swarm
     pbest_X = swarm.positions.copy()
     pbest_scalars = swarm.scalars.copy()
 
     r1, r2, gap = np.empty((pop, n)), np.empty((pop, n)), np.empty((pop, n))
-    for iteration in range(1, config.iterations + 1):
+    while True:
         rng.random(out=r1)
         rng.random(out=r2)
         _pso_move(X, V, pbest_X, run.best[0], r1, r2, gap, v_max, m)
@@ -150,9 +147,7 @@ def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None
         improved = swarm.scalars < pbest_scalars
         np.copyto(pbest_X, swarm.positions, where=improved[:, None])
         pbest_scalars[improved] = swarm.scalars[improved]
-        run.record(swarm, iteration)
-
-    return run.result(config.iterations)
+        yield swarm
 
 
 def _pso_move(X, V, pbest_X, gbest, r1, r2, gap, v_max: float, m: int) -> None:
@@ -215,24 +210,13 @@ def brute_force(problem: PlacementProblem, weights: ScalarWeights | None = None)
         raise ValueError(f"instance too large for exhaustive search: {m}^{n} placements")
 
     radix = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    archive = ParetoArchive(cap=None)
-    best_scalar = math.inf
-    best_row: np.ndarray | None = None
-    best_vector: ObjectiveVector | None = None
-
+    run = _Run(problem, weights, None, cap=None)
     chunk = 4096
     for start in range(0, total, chunk):
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         rows = (ids[:, None] // radix) % m
         keys = batch_objectives(problem, batch_loads(problem, rows))
-        batch = _Batch(rows + 1.0, rows, keys, batch_scalarize(keys, weights))
-        i = int(np.argmin(batch.scalars))
-        if batch.scalars[i] < best_scalar:
-            best_scalar = float(batch.scalars[i])
-            best_row = rows[i].copy()
-            best_vector = batch.vector(i)
-        archive.offer(batch)
-
-    pareto = tuple((nest.decoded, nest.objectives) for nest in archive.nests())
-    best = Placement.from_row(best_row)
-    return BruteForceResult(best, best_vector, best_scalar, pareto)
+        run.record(_Batch(rows + 1.0, rows, keys, batch_scalarize(keys, weights)))
+    _, row, vector, scalar = run.best  # the scalar-best entry, feasible or not
+    pareto = tuple((nest.decoded, nest.objectives) for nest in run.archive.nests())
+    return BruteForceResult(Placement.from_row(row), vector, scalar, pareto)

@@ -401,12 +401,9 @@ class _Batch(NamedTuple):
     keys: np.ndarray
     scalars: np.ndarray
 
-    def vector(self, i: int) -> ObjectiveVector:
-        return _vector(self.keys[i])
-
     def entry(self, i: int) -> tuple:
         """Copies of entry ``i``: position, row, objective vector and scalar."""
-        return self.positions[i].copy(), self.rows[i].copy(), self.vector(i), float(self.scalars[i])
+        return self.positions[i].copy(), self.rows[i].copy(), _vector(self.keys[i]), float(self.scalars[i])
 
     def copy(self) -> _Batch:
         return _Batch(*(column.copy() for column in self))
@@ -418,7 +415,7 @@ class _Batch(NamedTuple):
 
 
 class _Run:
-    """The bookkeeping every population solver shares around its move operator.
+    """The bookkeeping around a solver's moves, shared by ``_search`` and ``brute_force``.
 
     ``evaluate_rows`` repairs a batch of 0-based rows in place, the
     infeasible ones as one batch, and scores them; ``evaluate`` decodes
@@ -432,12 +429,12 @@ class _Run:
     must not be the workspace's own.
     """
 
-    def __init__(self, problem: PlacementProblem, weights: ScalarWeights, trace: TextIO | None) -> None:
+    def __init__(self, problem: PlacementProblem, weights: ScalarWeights, trace: TextIO | None, cap=ARCHIVE_CAP) -> None:
         self.t0 = time.perf_counter()
         self.problem = problem
         self.weights = weights
         self.trace = trace
-        self.archive = ParetoArchive(ARCHIVE_CAP)
+        self.archive = ParetoArchive(cap)
         self.history: list[float] = []
         self.scalar = math.inf
         self.best: tuple | None = None
@@ -499,11 +496,22 @@ class _Run:
         wall = time.perf_counter() - self.t0
         return SolveResult(best, self.archive.nests(), tuple(self.history), wall, cycles_run)
 
-    def single_server(self) -> SolveResult:
-        """With one server every VM sits on it: score that placement and stop."""
-        self.record(self.evaluate_rows(np.zeros((1, self.problem.n), dtype=np.int64)))
-        self.history.append(self.scalar)
-        return self.result(0)
+
+def _search(problem: PlacementProblem, config, cycles: int, trace: TextIO | None, moves) -> SolveResult:
+    """Record each population the generator ``moves(run, rng, config)`` yields: the initial one, then ``cycles`` more.
+
+    ``rng`` is seeded with ``config.seed``, and ``moves`` is not resumed past
+    the budget.  With one server every VM sits on it: that placement is scored once.
+    """
+    run = _Run(problem, config.weights, trace)
+    if problem.m == 1:
+        run.record(run.evaluate_rows(np.zeros((1, problem.n), dtype=np.int64)))
+        run.history.append(run.scalar)
+        return run.result(0)
+    populations = moves(run, np.random.default_rng(config.seed), config)
+    for cycle, population in zip(range(cycles + 1), populations):
+        run.record(population, cycle)
+    return run.result(cycles)
 
 
 def _draw_positions(bank: AutomatonBank, rng: np.random.Generator, out: np.ndarray, k_la: int) -> np.ndarray:
@@ -548,12 +556,12 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
     scalar-best and scalar-worst placements, and the whole population is
     offered to the non-dominated archive.
     """
-    run = _Run(problem, config.weights, trace)
-    m, n = problem.m, problem.n
-    if m == 1:
-        return run.single_server()
+    return _search(problem, config, config.max_cycles, trace, _lamocs)
 
-    rng = np.random.default_rng(config.seed)
+
+def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
+    """``solve``'s moves: yields the initial nests, then the nests after each cycle."""
+    m, n = run.problem.m, run.problem.n
     pop = config.pop_size
     scale = config.levy_scale if config.levy_scale is not None else 0.01 * (m - 1)
     bank = init_bank(n, m, config.reward_a, config.penalty_b)
@@ -564,7 +572,7 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
 
     seed_la = math.ceil(config.la_fraction * pop) if la_initial else 0
     nests = run.evaluate(_draw_positions(bank, rng, np.empty((pop, n)), seed_la)).copy()
-    run.record(nests)
+    yield nests
 
     # Per-solve buffers: the cycle's candidates (proposals, then regenerated
     # positions), the Lévy draws and the NaN mask of the proposals.
@@ -572,7 +580,7 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
     proposals, fresh = candidates[:pop], candidates[pop:]
     draws = np.empty((2, pop, n))
     stuck = np.empty((pop, n), dtype=bool)
-    for cycle in range(1, config.max_cycles + 1):
+    while True:
         # 1. The cycle's random draws, before any evaluation.
         X = nests.positions
         gbest = X[int(np.argmin(nests.scalars))]
@@ -608,7 +616,4 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
             bank, nests.rows[int(np.argmin(nests.scalars))], nests.rows[int(np.argmax(nests.scalars))]
         )
 
-        # 6. Archive and bookkeeping.
-        run.record(nests, cycle)
-
-    return run.result(config.max_cycles)
+        yield nests  # 6. archive and bookkeeping, in _search
