@@ -9,8 +9,8 @@ import numpy as np
 
 # _evaluate_rows is not called here: the solvers evaluate through _Run.  The
 # name stays bound because perfbench/tracing.py patches it in this module.
-from .cuckoo import SolveResult, _Batch, _evaluate_rows, _Run, _search  # noqa: F401
-from .instance import Placement, PlacementProblem, _checked_count
+from .cuckoo import SolveResult, _Batch, _check_search, _evaluate_rows, _Run, _search  # noqa: F401
+from .instance import Placement, PlacementProblem
 from .objectives import ObjectiveVector, ScalarWeights, _fits, _slack, batch_loads, batch_objectives, batch_scalarize
 
 __all__ = [
@@ -43,10 +43,7 @@ class GaConfig:
     weights: ScalarWeights = field(default_factory=ScalarWeights)
 
     def __post_init__(self) -> None:
-        if _checked_count("pop_size", self.pop_size) < 2:
-            raise ValueError("pop_size must be at least 2")
-        if _checked_count("generations", self.generations) < 0:
-            raise ValueError("generations must be non-negative")
+        _check_search(self, "generations")
 
 
 @dataclass(frozen=True)
@@ -59,10 +56,7 @@ class PsoConfig:
     weights: ScalarWeights = field(default_factory=ScalarWeights)
 
     def __post_init__(self) -> None:
-        if _checked_count("pop_size", self.pop_size) < 2:
-            raise ValueError("pop_size must be at least 2")
-        if _checked_count("iterations", self.iterations) < 0:
-            raise ValueError("iterations must be non-negative")
+        _check_search(self, "iterations")
 
 
 def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None = None) -> SolveResult:

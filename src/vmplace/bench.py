@@ -123,6 +123,7 @@ class SweepConfig:
                 raise ValueError(f"{axis} must be non-empty")
             if len(set(values)) < len(values):
                 raise ValueError(f"{axis} repeats a value: {list(values)}")
+        _checked_count("base_seed", self.base_seed)  # may be negative: derive_seed hashes it
         if _checked_count("m", self.m) < 1:
             raise ValueError("m must be at least 1")
         if any(n < self.m for n in self.vm_counts):

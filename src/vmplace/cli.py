@@ -91,6 +91,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     if (code := _reject_unknown([args.algorithm])) is not None:
         return code
+    paths = [Path(name).resolve() for name in (args.instance, args.out, args.trace) if name]
+    if len(set(paths)) < len(paths):
+        return _fail("the instance, --out and --trace must be different files", EXIT_BAD_INPUT)
     try:
         problem = read_instance(args.instance)
     except (OSError, ValueError) as exc:
@@ -185,6 +188,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     if (code := _reject_unknown(args.algorithms)) is not None:
         return code
+    if len(set(args.algorithms)) < len(args.algorithms):
+        return _fail(f"--algorithms repeats a value: {args.algorithms}", EXIT_BAD_INPUT)
+    if args.seed < 0:
+        return _fail("--seed must be non-negative", EXIT_BAD_INPUT)
     # instances draw m in [2, max_servers] and n in [m + 1, max_vms]
     if args.max_servers < 2:
         return _fail("--max-servers must be at least 2", EXIT_BAD_INPUT)

@@ -11,7 +11,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .automata import AutomatonBank, init_bank, sample_assignments, update_from_population
-from .instance import Placement, PlacementProblem, _checked_count
+from .instance import Placement, PlacementProblem, _check_seed, _checked_count
 from .objectives import (
     LoadWork,
     ObjectiveVector,
@@ -78,10 +78,7 @@ class SolverConfig:
     abandon_strategy: str = "worst_ranked"
 
     def __post_init__(self) -> None:
-        if _checked_count("pop_size", self.pop_size) < 2:
-            raise ValueError("pop_size must be at least 2")
-        if _checked_count("max_cycles", self.max_cycles) < 0:
-            raise ValueError("max_cycles must be non-negative")
+        _check_search(self, "max_cycles")
         if not 0.0 <= self.p_a <= 1.0:
             raise ValueError("p_a must lie in [0, 1]")
         if self.levy_scale is not None and not (math.isfinite(self.levy_scale) and self.levy_scale > 0.0):
@@ -96,6 +93,15 @@ class SolverConfig:
             raise ValueError(f"la_applies_to must be one of {LA_APPLIES_CHOICES}")
         if self.abandon_strategy not in ABANDON_CHOICES:
             raise ValueError(f"abandon_strategy must be one of {ABANDON_CHOICES}")
+
+
+def _check_search(config, cycles: str) -> None:
+    """Raise ValueError unless ``pop_size`` is at least 2, the ``cycles`` field at least 0 and ``seed`` a valid seed."""
+    if _checked_count("pop_size", config.pop_size) < 2:
+        raise ValueError("pop_size must be at least 2")
+    if _checked_count(cycles, getattr(config, cycles)) < 0:
+        raise ValueError(f"{cycles} must be non-negative")
+    _check_seed(config.seed)
 
 
 @dataclass(frozen=True)

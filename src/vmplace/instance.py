@@ -186,6 +186,7 @@ class GeneratorConfig:
             raise ValueError("need at least one server")
         if _checked_count("n", self.n) < self.m:
             raise ValueError("need at least as many VMs as servers (n >= m)")
+        _check_seed(self.seed)
         if not 0.0 < self.demand_floor_ratio < 1.0:
             raise ValueError("demand_floor_ratio must lie in (0, 1)")
         _check_weights(self.alpha, self.beta)
@@ -205,6 +206,12 @@ def _checked_count(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seed(seed) -> None:
+    """ValueError unless ``seed`` is a non-negative int, as ``np.random.default_rng`` needs."""
+    if _checked_count("seed", seed) < 0:
+        raise ValueError("seed must be non-negative")
 
 
 def _checked_range(name: str, rng: tuple[float, float]) -> tuple[float, float]:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from vmplace import (
     GaConfig,
+    GeneratorConfig,
     Placement,
     PsoConfig,
     ScalarWeights,
@@ -13,6 +16,7 @@ from vmplace import (
     decode,
     dominates,
     evaluate,
+    generate_instance,
     scalarize,
     solve_ffd,
     solve_ga,
@@ -180,6 +184,21 @@ class TestBruteForce:
             key=lambda s: scalarize(evaluate(p, s), ScalarWeights()),
         )
         assert result.best == expected
+
+    @pytest.mark.parametrize("penalty, scalar, feasible", [(1e-6, -0.3085708794983644, False), (10.0, 0.4635656606480487, True)])
+    def test_reports_scalar_best_feasible_or_not(self, penalty, scalar, feasible):
+        """The first minimum of an explicit enumeration, even when it overloads a server."""
+        p = generate_instance(GeneratorConfig(m=3, n=6, demand_floor_ratio=0.3, seed=4))
+        w = ScalarWeights(infeasibility_penalty=penalty)
+        scores = {}
+        for assign in itertools.product(range(1, 4), repeat=6):
+            scores[Placement(assign)] = scalarize(evaluate(p, Placement(assign)), w)
+        best = min(scores, key=scores.get)
+        result = brute_force(p, w)
+        assert (result.best, result.scalar) == (best, scores[best])
+        assert result.scalar == pytest.approx(scalar, abs=1e-12)
+        assert result.objectives == evaluate(p, best)
+        assert result.objectives.feasible is feasible
 
     def test_guard_rejects_large_instances(self):
         p = make_problem([(10, 10)] * 3, [(1, 1)] * 15)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vmplace import ObjectiveVector, Placement, check_feasible, evaluate, generate_instance, GeneratorConfig, GeneratorError
+from vmplace import GaConfig, PsoConfig, SolverConfig
 from vmplace import bench, cli
 from vmplace.baselines import BruteForceResult
 from vmplace.bench import (
@@ -207,6 +208,48 @@ def write_split_instance(path):
     path.write_text(json.dumps(payload))
 
 
+def no_draw(cfg):
+    raise AssertionError("an instance was drawn")
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("make", [
+        lambda: SolverConfig(seed=1.5),
+        lambda: SolverConfig(seed=-1),
+        lambda: GaConfig(seed="a"),
+        lambda: PsoConfig(seed=-1),
+        lambda: GeneratorConfig(m=2, n=3, seed=1.5),
+        lambda: SweepConfig(base_seed=1.5),
+    ], ids=["solver-float", "solver-negative", "ga-str", "pso-negative", "generator-float", "sweep-float"])
+    def test_config_rejects_seed(self, make):
+        with pytest.raises(ValueError, match="seed must be"):
+            make()
+
+    def test_sweep_base_seed_may_be_negative(self):
+        assert SweepConfig(base_seed=-3).base_seed == -3
+
+    @pytest.mark.parametrize("command", ["generate", "solve", "oracle-check"])
+    def test_negative_seed_exit_2_writes_nothing(self, tmp_path, capsys, monkeypatch, command):
+        inst = tmp_path / "inst.json"
+        write_split_instance(inst)
+        out = tmp_path / "x.json"
+        monkeypatch.setattr(cli, "generate_instance", no_draw)
+        argv = {
+            "generate": ["generate", "--servers", "3", "--vms", "6", "--seed", "-1", "--out", str(out)],
+            "solve": ["solve", str(inst), "--seed", "-1", "--pop", "4", "--cycles", "2", "--out", str(out)],
+            "oracle-check": ["oracle-check", "--count", "1", "--seed", "-1", "--algorithms", "ffd"],
+        }[command]
+        assert main(argv) == 2
+        assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == [inst]
+
+
 class TestCliGenerate:
     def test_writes_valid_instance(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
@@ -397,6 +440,23 @@ class TestCliSolve:
         assert main(["solve", str(inst), "--pop", "1", "--trace", str(trace)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not trace.exists()
+
+    @pytest.mark.parametrize("outputs", [
+        ["--out", "inst.json"],
+        ["--trace", "./inst.json"],
+        ["--out", "p.json", "--trace", "sub/../p.json"],
+    ])
+    def test_colliding_paths_exit_2_before_opening(self, tmp_path, capsys, monkeypatch, outputs):
+        # the placement or the trace would overwrite the instance, or one another
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        inst = tmp_path / "inst.json"
+        write_split_instance(inst)
+        before = inst.read_bytes()
+        assert main(["solve", "inst.json", "--pop", "4", "--cycles", "2", *outputs]) == 2
+        assert_one_error_line(capsys)
+        assert inst.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "sub"]
 
     def test_placement_file_byte_identical(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -595,15 +655,18 @@ class TestCliOracleCheck:
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tol_exit_2_before_drawing(self, monkeypatch, capsys, tol):
-        def no_draw(cfg):
-            raise AssertionError("an instance was drawn")
-
         monkeypatch.setattr(cli, "generate_instance", no_draw)
         rc = main(["oracle-check", "--count", "2", "--algorithms", "ffd", "--tol", tol])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+
+    def test_repeated_algorithm_exit_2_before_drawing(self, monkeypatch, capsys):
+        # a repeat would run the algorithm twice and count each match twice
+        monkeypatch.setattr(cli, "generate_instance", no_draw)
+        assert main(["oracle-check", "--count", "1", "--algorithms", "ffd", "ffd"]) == 2
+        assert_one_error_line(capsys)
 
     def test_bad_config_exit_2(self, capsys):
         rc = main(["oracle-check", "--count", "1", "--pop", "1", "--algorithms", "ga"])

@@ -9,16 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmplace import (
+    GaConfig,
+    GeneratorConfig,
     Placement,
+    PsoConfig,
     ScalarWeights,
     SolverConfig,
     check_feasible,
     decode,
     dominates,
     evaluate,
+    generate_instance,
     repair,
     scalarize,
     solve,
+    solve_ga,
+    solve_pso,
 )
 from vmplace import cuckoo
 from vmplace.baselines import brute_force
@@ -703,6 +709,32 @@ class TestParetoArchive:
         assert archive.offer(_entry_batch([(np.array([1.0]), np.array([0]), vector, 0.3)]))
         assert not archive.offer(_entry_batch([(np.array([2.0]), np.array([1]), vector, 0.3)]))
         assert len(archive) == 1
+
+
+class TestSearch:
+    """``cuckoo._search``, the loop that LAMOCS, GA and PSO share."""
+
+    @pytest.mark.parametrize("cycles", [0, 1, 3])
+    @pytest.mark.parametrize("solver, make_config", [
+        (solve, lambda c: SolverConfig(pop_size=6, max_cycles=c, seed=2)),
+        (solve_ga, lambda c: GaConfig(pop_size=6, generations=c, seed=2)),
+        (solve_pso, lambda c: PsoConfig(pop_size=6, iterations=c, seed=2)),
+    ], ids=["lamocs", "ga", "pso"])
+    def test_one_evaluate_and_one_record_per_cycle(self, monkeypatch, solver, make_config, cycles):
+        """The initial population plus one population per cycle are evaluated, and nothing past the budget."""
+        calls = []
+        original = cuckoo._evaluate_rows
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cuckoo, "_evaluate_rows", counting)
+        trace = io.StringIO()
+        problem = generate_instance(GeneratorConfig(m=3, n=6, seed=4))
+        result = solver(problem, make_config(cycles), trace)
+        assert result.cycles_run == len(result.history) == len(trace.getvalue().splitlines()) == cycles
+        assert len(calls) == cycles + 1
 
 
 class TestSolve:
