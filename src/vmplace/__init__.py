@@ -46,7 +46,6 @@ from .objectives import (
     check_feasible,
     dominates,
     evaluate,
-    resource_waste,
     scalarize,
 )
 

@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import GaConfig, PsoConfig, solve_ffd, solve_ga, solve_pso
 from .cuckoo import SolveResult, SolverConfig, solve
 from .instance import GeneratorConfig, Placement, PlacementProblem, _checked_count, _write_json, generate_instance
-from .objectives import ScalarWeights, evaluate, resource_waste
+from .objectives import ScalarWeights, evaluate
 
 __all__ = [
     "ALGORITHMS",
@@ -57,7 +57,7 @@ ALGORITHM_TABLE = {
 }
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
-_AGG_METRICS = ("utilization", "load_balance", "active_servers", "resource_waste", "wall_time_ms")
+_AGG_METRICS = ("utilization", "load_balance", "active_servers", "wall_time_ms")
 # the SweepConfig fields that every instance's GeneratorConfig takes as they are
 _GENERATOR_FIELDS = ("m", "cpu_range", "mem_range", "demand_floor_ratio", "alpha", "beta")
 
@@ -74,7 +74,6 @@ class RunReport:
     utilization: float
     load_balance: float
     active_servers: int
-    resource_waste: float
     feasible: bool
     wall_time_ms: float
     pop: int  # population size; 0 for an algorithm without one (ffd)
@@ -187,15 +186,13 @@ def run_algorithm(
 def placement_metrics(problem: PlacementProblem, placement: Placement) -> dict:
     """A placement's report metrics, recomputed from the placement alone.
 
-    Keys: ``utilization``, ``load_balance``, ``active_servers``,
-    ``resource_waste`` and ``feasible``.
+    Keys: ``utilization``, ``load_balance``, ``active_servers`` and ``feasible``.
     """
     objs = evaluate(problem, placement)
     return {
         "utilization": objs.utilization,
         "load_balance": objs.load_balance,
         "active_servers": round(objs.active_fraction * problem.m),
-        "resource_waste": resource_waste(problem, placement),
         "feasible": objs.feasible,
     }
 

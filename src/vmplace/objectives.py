@@ -14,7 +14,6 @@ __all__ = [
     "ObjectiveVector",
     "Violation",
     "ScalarWeights",
-    "resource_waste",
     "check_feasible",
     "evaluate",
     "dominates",
@@ -162,17 +161,6 @@ def batch_scalarize(keys: np.ndarray | tuple, weights: ScalarWeights) -> np.ndar
     utilization, load_balance, active_fraction, feasible = np.asarray(keys, dtype=np.float64).T
     base = weights.w_util * (1.0 - utilization) + weights.w_lb * load_balance + weights.w_active * active_fraction
     return base + np.where(feasible, 0.0, weights.infeasibility_penalty)
-
-
-def resource_waste(problem: PlacementProblem, placement: Placement) -> float:
-    """Mean unused-capacity share ``1 - utilization`` over the servers hosting a VM.
-
-    Averages the per-server complements, which can differ from
-    ``1 - evaluate(...).utilization`` in the last bits.
-    """
-    loads = batch_loads(problem, _assign0(problem, placement)[None, :])[:, 0]
-    util = _utilization(problem, loads[:2])
-    return float(np.mean(1.0 - util[loads[2] > 0]))
 
 
 def check_feasible(problem: PlacementProblem, placement: Placement) -> tuple[bool, list[Violation]]:

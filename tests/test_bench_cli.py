@@ -95,7 +95,7 @@ class TestRunSweep:
         def key(rec):
             r = rec.report
             return (r.algorithm, r.n, r.m, r.rep, r.seed, r.utilization,
-                    r.load_balance, r.active_servers, r.resource_waste, r.feasible)
+                    r.load_balance, r.active_servers, r.feasible)
         assert [key(r) for r in serial] == [key(r) for r in parallel]
 
     def test_parallel_pop_sweep_matches_serial(self):
@@ -166,7 +166,7 @@ class TestWriters:
         assert tuple(rows[0]) == RAW_COLUMNS
         assert len(rows) == len(records) + 1
         assert rows[1][0] == "ffd"
-        assert rows[1][9] in ("true", "false")
+        assert rows[1][RAW_COLUMNS.index("feasible")] in ("true", "false")
 
     def test_raw_json_shape(self, tmp_path):
         cfg = SweepConfig(**SMALL, algorithms=("ffd",))

@@ -13,7 +13,6 @@ from vmplace import (
     check_feasible,
     dominates,
     evaluate,
-    resource_waste,
     scalarize,
 )
 from vmplace.objectives import _fits, _slack, _utilization, _vector, batch_loads, batch_objectives, batch_scalarize
@@ -28,14 +27,6 @@ def _bits(*arrays):
 def placed(servers, vms, assign, alpha=0.5, beta=0.5):
     """A problem and a 1-based placement of its VMs."""
     return make_problem(servers, vms, alpha, beta), Placement(tuple(assign))
-
-
-def legacy_resource_waste(problem, placement) -> float:
-    """The per-server-list definition: mean of ``1 - u`` over the hosting servers."""
-    a0 = np.asarray(placement.assign, dtype=np.int64) - 1
-    cpu_used, mem_used, counts = batch_loads(problem, a0[None, :])
-    util = problem.alpha * cpu_used[0] / problem.server_cpu + problem.beta * mem_used[0] / problem.server_mem
-    return float(np.mean([1.0 - float(u) for u, k in zip(util, counts[0]) if k > 0]))
 
 
 def legacy_check_feasible(problem, placement):
@@ -209,12 +200,10 @@ class TestServerLoads:
         assert objs.utilization == pytest.approx(2.0, abs=1e-12)
         assert objs.load_balance == 0.0
         assert objs.active_fraction == 0.5
-        assert resource_waste(split_problem, Placement((1, 1, 1, 1))) == pytest.approx(-1.0, abs=1e-12)
 
     def test_full_server_utilization_one(self):
         p, s = placed([(4, 6)], [(4, 6)], (1,))
         assert evaluate(p, s).utilization == pytest.approx(1.0, abs=1e-12)
-        assert resource_waste(p, s) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEvalFunctions:
@@ -232,25 +221,12 @@ class TestEvalFunctions:
         assert evaluate(*placed([(10, 10)] * 4, [(1, 1), (2, 2)], (1, 2))).active_fraction == 0.5
         assert evaluate(*placed([(10, 10)], [(1, 1)], (1,))).active_fraction == 1.0
 
-    def test_resource_waste(self):
-        assert resource_waste(*placed([(10, 10)], [(10, 10)], (1,))) == 0.0
-        waste = resource_waste(*placed([(10, 10)] * 3, [(2, 2), (8, 8)], (1, 2)))
-        assert waste == pytest.approx(0.5, abs=1e-12)
-
-    def test_waste_is_complement_of_utilization(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            p = random_problem(rng)
-            s = Placement(tuple(int(v) for v in rng.integers(1, p.m + 1, p.n)))
-            assert resource_waste(p, s) == pytest.approx(1.0 - evaluate(p, s).utilization, abs=1e-12)
-
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**31))
-    def test_waste_and_active_servers_match_legacy(self, seed):
+    def test_active_servers_match_distinct_hosts(self, seed):
         rng = np.random.default_rng(seed)
         p = random_problem(rng, m=int(rng.integers(1, 40)), n=int(rng.integers(1, 60)))
         s = Placement(tuple(int(v) for v in rng.integers(1, p.m + 1, p.n)))
-        assert resource_waste(p, s).hex() == legacy_resource_waste(p, s).hex()
         assert round(evaluate(p, s).active_fraction * p.m) == len(set(s.assign))
 
     def test_active_servers_round_trip(self):
@@ -360,7 +336,6 @@ class TestBatchPath:
         assert objs.utilization == pytest.approx(np.mean(utils), abs=1e-12)
         assert objs.load_balance == pytest.approx(np.std(utils), abs=1e-12)
         assert objs.active_fraction == len(utils) / p.m
-        assert resource_waste(p, s) == pytest.approx(np.mean([1.0 - u for u in utils]), abs=1e-12)
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2**31))
