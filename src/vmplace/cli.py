@@ -33,7 +33,14 @@ EXIT_INFEASIBLE = 4
 
 # Flags whose destination is the config field they set; their defaults are read from that config.
 _GENERATOR_FIELDS = ("seed", "cpu_range", "mem_range", "demand_floor_ratio", "alpha")
-_LAMOCS_FIELDS = ("p_a", "levy_scale", "la_fraction", "reward_a", "penalty_b")
+# solve's LAMOCS-only flags by destination; left unset (None), SolverConfig's default applies
+_LAMOCS_FLAGS = {
+    "p_a": "--pa",
+    "la_fraction": "--la-fraction",
+    "reward_a": "--reward-a",
+    "penalty_b": "--penalty-b",
+    "levy_scale": "--levy-scale",
+}
 
 
 def _fail(message: str, code: int) -> int:
@@ -91,6 +98,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     if (code := _reject_unknown([args.algorithm])) is not None:
         return code
+    lamocs_fields = {name: value for name in _LAMOCS_FLAGS if (value := getattr(args, name)) is not None}
+    if lamocs_fields and args.algorithm != "lamocs":
+        flag = _LAMOCS_FLAGS[next(iter(lamocs_fields))]
+        return _fail(f"{flag} applies only to --algorithm lamocs", EXIT_BAD_INPUT)
     paths = [Path(name).resolve() for name in (args.instance, args.out, args.trace) if name]
     if len(set(paths)) < len(paths):
         return _fail("the instance, --out and --trace must be different files", EXIT_BAD_INPUT)
@@ -98,11 +109,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         problem = read_instance(args.instance)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read instance: {exc}", EXIT_BAD_INPUT)
-    fields = {"pop_size": args.pop, "seed": args.seed}
-    if args.algorithm == "lamocs":
-        fields.update(_pick(args, _LAMOCS_FIELDS))
     try:
-        config = bench.make_config(args.algorithm, args.cycles, weights=_weights_from(args), **fields)
+        config = bench.make_config(
+            args.algorithm, args.cycles, pop_size=args.pop, seed=args.seed, weights=_weights_from(args), **lamocs_fields
+        )
     except ValueError as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
 
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None, help="write the placement JSON here")
     p_solve.add_argument("--trace", default=None, help="write per-cycle JSONL here")
     _add_weight_flags(p_solve)
-    p_solve.set_defaults(func=cmd_solve, **_pick(SolverConfig, _LAMOCS_FIELDS))
+    p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="run a benchmark sweep and write CSV/JSON tables")
     p_bench.add_argument("--vm-counts", type=int, nargs="+", default=bench.SweepConfig.vm_counts)

@@ -289,10 +289,12 @@ def read_instance(path: str | Path) -> PlacementProblem:
     """Parse an instance file; raises ValueError on malformed input."""
     payload = _read_json(path)
     try:
-        servers = tuple(ResourceVector(s["cpu"], s["mem"]) for s in payload["servers"])
-        vms = tuple(ResourceVector(v["cpu"], v["mem"]) for v in payload["vms"])
-        alpha = float(payload.get("alpha", 0.5))
-        beta = float(payload.get("beta", 0.5))
+        servers, vms = (
+            tuple(ResourceVector(*(_json_number(f"{key}[{i}].{r}", entry[r]) for r in RESOURCES))
+                  for i, entry in enumerate(payload[key]))
+            for key in ("servers", "vms")
+        )
+        alpha, beta = (float(_json_number(key, payload.get(key, 0.5))) for key in ("alpha", "beta"))
         return PlacementProblem(servers, vms, alpha, beta)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc!r}") from exc
@@ -307,7 +309,7 @@ def read_placement(path: str | Path) -> Placement:
     """Parse a placement file; raises ValueError on malformed input."""
     payload = _read_json(path)
     try:
-        return Placement(tuple(payload["assign"]))
+        return Placement(tuple(_json_number(f"assign[{i}]", s) for i, s in enumerate(payload["assign"])))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed placement file {path}: {exc!r}") from exc
 
@@ -318,6 +320,14 @@ def _write_json(payload: dict, dest: str | Path | TextIO) -> None:
         dest.write(text)
     else:
         Path(dest).write_text(text)
+
+
+def _json_number(name: str, value):
+    """``value`` if the file gave it as a number; a string or a boolean raises ValueError naming ``name``."""
+    # json reads true and false as bool, a subclass of int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    return value
 
 
 def _read_json(path: str | Path) -> dict:

@@ -1,8 +1,10 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from vmplace.bench import (
 from vmplace.cli import main
 
 SMALL = dict(vm_counts=(8,), m=4, reps=2, pop_sizes=(10,), cycles=15)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestDeriveSeed:
@@ -323,6 +326,15 @@ class TestCliSolve:
         assert main(["solve", str(bad)]) == 2
         capsys.readouterr()
 
+    def test_non_numeric_instance_value_exit_2(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "servers": [{"cpu": 10.0, "mem": 16.0}],
+            "vms": [{"cpu": 2.0, "mem": True}],
+        }))
+        assert main(["solve", str(inst), "--algorithm", "ffd"]) == 2
+        assert_one_error_line(capsys)
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
         capsys.readouterr()
@@ -432,6 +444,23 @@ class TestCliSolve:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert not trace.exists() and not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["ga", "pso", "ffd"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--pa", "0.5"), ("--la-fraction", "0.3"), ("--reward-a", "0.3"),
+        ("--penalty-b", "0.1"), ("--levy-scale", "0.2"),
+    ])
+    def test_lamocs_flag_with_other_algorithm_exit_2(self, tmp_path, capsys, algorithm, flag, value):
+        # a valid value too: the flag would be ignored, not applied
+        inst = tmp_path / "inst.json"
+        write_split_instance(inst)
+        argv = ["solve", str(inst), "--algorithm", algorithm, "--pop", "4", "--cycles", "2", flag, value,
+                "--trace", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "o.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} applies only to --algorithm lamocs\n"
+        assert list(tmp_path.iterdir()) == [inst]
 
     def test_bad_config_leaves_no_trace_file(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -696,10 +725,12 @@ class TestCliUnknownAlgorithm:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "inst.json"
+        # the subprocess does not get pytest's pythonpath, so put the checkout's src first
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [sys.executable, "-m", "vmplace", "generate", "--servers", "2",
              "--vms", "5", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert out.exists()

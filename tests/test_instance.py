@@ -245,6 +245,30 @@ class TestJsonIO:
         with pytest.raises(ValueError, match="capacities must be strictly positive"):
             read_instance(path)
 
+    @pytest.mark.parametrize("field, edit", [
+        ("servers[0].cpu", lambda d: d["servers"][0].update(cpu="10")),
+        ("servers[1].mem", lambda d: d["servers"][1].update(mem=True)),
+        ("vms[0].mem", lambda d: d["vms"][0].update(mem=True)),
+        ("vms[1].cpu", lambda d: d["vms"][1].update(cpu=None)),
+        ("alpha", lambda d: d.update(alpha="0.5")),
+        ("beta", lambda d: d.update(beta=False)),
+    ])
+    def test_non_numeric_instance_value_raises_value_error(self, tmp_path, split_problem, field, edit):
+        path = tmp_path / "inst.json"
+        write_instance(split_problem, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a number")):
+            read_instance(path)
+
+    @pytest.mark.parametrize("assign", [[True, 2], [1, "2"], [1, None]])
+    def test_non_numeric_assign_raises_value_error(self, tmp_path, assign):
+        path = tmp_path / "place.json"
+        path.write_text(json.dumps({"assign": assign}))
+        with pytest.raises(ValueError, match=r"assign\[\d\] must be a number"):
+            read_placement(path)
+
     def test_malformed_placement_raises_value_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"wrong": []}))
