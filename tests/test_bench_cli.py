@@ -451,7 +451,7 @@ class TestCliSolve:
         ("--penalty-b", "0.1"), ("--levy-scale", "0.2"),
     ])
     def test_lamocs_flag_with_other_algorithm_exit_2(self, tmp_path, capsys, algorithm, flag, value):
-        # a valid value too: the flag would be ignored, not applied
+        # valid values too: these algorithms have no such setting to apply them to
         inst = tmp_path / "inst.json"
         write_split_instance(inst)
         argv = ["solve", str(inst), "--algorithm", algorithm, "--pop", "4", "--cycles", "2", flag, value,
