@@ -70,10 +70,10 @@ def solve_ga(problem: PlacementProblem, config: GaConfig, trace: TextIO | None =
 
 
 def _ga(run: _Run, rng: np.random.Generator, config: GaConfig):
-    """``solve_ga``'s moves: yields the initial population, then each generation's."""
+    """``solve_ga``'s operator: yields each generation's rows, then the population they make."""
     m, n = run.problem.m, run.problem.n
     pop = config.pop_size
-    population = run.evaluate_rows(rng.integers(0, m, (pop, n))).copy()
+    population = (yield rng.integers(0, m, (pop, n))).copy()
     yield population
 
     # Per-solve buffers: the children, the second parents' rows, the
@@ -101,7 +101,7 @@ def _ga(run: _Run, rng: np.random.Generator, config: GaConfig):
         np.copyto(children, rng.integers(0, m, (pop - 1, n)), where=mask)
 
         # the elite moves to row 0 and the scored children fill the rest
-        offspring = run.evaluate_rows(children)
+        offspring = yield children
         population.put(0, population, elite)
         population.put(slice(1, None), offspring, slice(None))
         yield population
@@ -119,14 +119,14 @@ def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None
 
 
 def _pso(run: _Run, rng: np.random.Generator, config: PsoConfig):
-    """``solve_pso``'s moves: yields the initial swarm, then the swarm after each move."""
+    """``solve_pso``'s operator: yields each move's positions, then the swarm they make."""
     m, n = run.problem.m, run.problem.n
     pop = config.pop_size
     v_max = 0.5 * (m - 1)
     X = rng.uniform(1.0, float(m), (pop, n))
     V = np.zeros((pop, n))
 
-    swarm = run.evaluate(X)
+    swarm = yield X
     yield swarm
     pbest_X = swarm.positions.copy()
     pbest_scalars = swarm.scalars.copy()
@@ -137,7 +137,7 @@ def _pso(run: _Run, rng: np.random.Generator, config: PsoConfig):
         rng.random(out=r2)
         _pso_move(X, V, pbest_X, run.best[0], r1, r2, gap, v_max, m)
 
-        swarm = run.evaluate(X)
+        swarm = yield X
         improved = swarm.scalars < pbest_scalars
         np.copyto(pbest_X, swarm.positions, where=improved[:, None])
         pbest_scalars[improved] = swarm.scalars[improved]

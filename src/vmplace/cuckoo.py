@@ -423,15 +423,14 @@ class _Batch(NamedTuple):
 class _Run:
     """The bookkeeping around a solver's moves, shared by ``_search`` and ``brute_force``.
 
-    ``evaluate_rows`` repairs a batch of 0-based rows in place, the
-    infeasible ones as one batch, and scores them; ``evaluate`` decodes
-    positions into rows first.  ``record`` tracks the best-so-far (feasible
+    ``evaluate`` repairs a batch of candidates, the infeasible ones as one
+    batch, and scores them; ``record`` tracks the best-so-far (feasible
     first), offers the batch to the archive and, per cycle, logs the history
     and the trace row; ``result`` assembles the ``SolveResult``.
 
     A returned batch's positions, and the rows ``evaluate`` decodes, live in
     the run's per-solve workspace: they are valid until the next evaluate,
-    so a solver copies what it keeps.  ``positions`` passed to ``evaluate``
+    so a solver copies what it keeps.  Candidates passed to ``evaluate``
     must not be the workspace's own.
     """
 
@@ -453,26 +452,23 @@ class _Run:
             self._work = _Workspace(self.problem, k)
         return self._work
 
-    def evaluate_rows(self, rows: np.ndarray) -> _Batch:
-        """Repair and score 0-based ``rows`` in place; the positions are ``rows + 1``."""
-        work = self._workspace(rows.shape[0])
-        _, keys, scalars = _evaluate_rows(self.problem, rows, self.weights, work=work)
-        return _Batch(np.add(rows, 1.0, out=work.positions[: rows.shape[0]]), rows, keys, scalars)
+    def evaluate(self, candidates: np.ndarray) -> _Batch:
+        """Repair and score int 0-based rows in place, or float positions decoded into rows.
 
-    def evaluate(self, positions: np.ndarray) -> _Batch:
-        """Score ``positions``; coordinates the repair moved snap onto their new server.
-
-        Only the rows the repair changed are decoded again to find those
-        coordinates.
+        Rows score as positions ``rows + 1``.  Position coordinates that the repair
+        moved snap onto their new server, found by decoding the changed rows again.
         """
-        k, m = positions.shape[0], self.problem.m
+        k, m = candidates.shape[0], self.problem.m
         work = self._workspace(k)
         snapped = work.positions[:k]
-        rows = _decode0(positions, m, out=work.rows[:k], scratch=snapped)
+        given_rows = candidates.dtype.kind == "i"
+        rows = candidates if given_rows else _decode0(candidates, m, out=work.rows[:k], scratch=snapped)
         changed, keys, scalars = _evaluate_rows(self.problem, rows, self.weights, work=work)
-        np.copyto(snapped, positions)
+        if given_rows:
+            return _Batch(np.add(rows, 1.0, out=snapped), rows, keys, scalars)
+        np.copyto(snapped, candidates)
         if changed.size:
-            old, new = positions[changed], rows[changed]
+            old, new = candidates[changed], rows[changed]
             snapped[changed] = np.where(new != _decode0(old, m), new + 1.0, old)
         return _Batch(snapped, rows, keys, scalars)
 
@@ -504,19 +500,21 @@ class _Run:
 
 
 def _search(problem: PlacementProblem, config, cycles: int, trace: TextIO | None, moves) -> SolveResult:
-    """Record each population the generator ``moves(run, rng, config)`` yields: the initial one, then ``cycles`` more.
+    """Score and record what the operator ``moves(run, rng, config)`` proposes: the initial population, then ``cycles`` more.
 
-    ``rng`` is seeded with ``config.seed``, and ``moves`` is not resumed past
-    the budget.  With one server every VM sits on it: that placement is scored once.
+    Each time, the operator yields candidates (int rows or float positions),
+    is sent their scored ``_Batch`` and yields the population to record; it
+    is not resumed past the budget.  ``rng`` is seeded with ``config.seed``.
+    With one server every VM sits on it: that placement is scored once.
     """
     run = _Run(problem, config.weights, trace)
     if problem.m == 1:
-        run.record(run.evaluate_rows(np.zeros((1, problem.n), dtype=np.int64)))
+        run.record(run.evaluate(np.zeros((1, problem.n), dtype=np.int64)))
         run.history.append(run.scalar)
         return run.result(0)
-    populations = moves(run, np.random.default_rng(config.seed), config)
-    for cycle, population in zip(range(cycles + 1), populations):
-        run.record(population, cycle)
+    operator = moves(run, np.random.default_rng(config.seed), config)
+    for cycle in range(cycles + 1):
+        run.record(operator.send(run.evaluate(next(operator))), cycle)
     return run.result(cycles)
 
 
@@ -566,7 +564,7 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
 
 
 def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
-    """``solve``'s moves: yields the initial nests, then the nests after each cycle."""
+    """``solve``'s operator: yields each cycle's candidates, then the nests after the cycle."""
     m, n = run.problem.m, run.problem.n
     pop = config.pop_size
     scale = config.levy_scale if config.levy_scale is not None else 0.01 * (m - 1)
@@ -577,7 +575,7 @@ def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
     n_la = math.ceil(config.la_fraction * n_abandon) if la_regenerated else 0
 
     seed_la = math.ceil(config.la_fraction * pop) if la_initial else 0
-    nests = run.evaluate(_draw_positions(bank, rng, np.empty((pop, n)), seed_la)).copy()
+    nests = (yield _draw_positions(bank, rng, np.empty((pop, n)), seed_la)).copy()
     yield nests
 
     # Per-solve buffers: the cycle's candidates (proposals, then regenerated
@@ -596,7 +594,7 @@ def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
             doomed = rng.permutation(pop)[:n_abandon]
         _draw_positions(bank, rng, fresh, n_la)
 
-        # 2. One evaluation: the Lévy proposals, then the regenerated positions.
+        # 2. One batch to score: the Lévy proposals, then the regenerated positions.
         # In place, this is clip(X + scale * steps * (X - gbest), 1, m).
         np.subtract(X, gbest, out=proposals)
         steps *= scale
@@ -606,7 +604,7 @@ def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
             proposals += X
             np.clip(proposals, 1.0, float(m), out=proposals)
         np.copyto(proposals, X, where=np.isnan(proposals, out=stuck))
-        batch = run.evaluate(candidates)
+        batch = yield candidates
 
         # 3. Acceptance, each proposal judged against its target nest.
         _accept(nests, _Batch(*(column[:pop] for column in batch)), targets)

@@ -409,7 +409,7 @@ class TestInPlaceEngine:
         weights = ScalarWeights()
         run = _Run(problem, weights, None)
         expected = _old_evaluate(problem, weights, rows + 1.0)
-        assert_same_batch(run.evaluate_rows(rows), expected)
+        assert_same_batch(run.evaluate(rows), expected)
 
     def test_levy_matches_two_normal_draws(self):
         for seed in range(300):
@@ -735,6 +735,35 @@ class TestSearch:
         result = solver(problem, make_config(cycles), trace)
         assert result.cycles_run == len(result.history) == len(trace.getvalue().splitlines()) == cycles
         assert len(calls) == cycles + 1
+
+    @pytest.mark.parametrize("cycles", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["rows", "positions"])
+    def test_operator_is_sent_the_evaluate_of_what_it_yields(self, cycles, kind):
+        """A stub operator gets ``cycles + 1`` batches, each ``_Run.evaluate`` of its candidates, and no resume after."""
+        problem = generate_instance(GeneratorConfig(m=3, n=6, seed=4))
+        config = GaConfig(pop_size=5, generations=cycles, seed=2)
+        yielded, received, resumed = [], [], []
+
+        def stub(run, rng, config):
+            shape = (config.pop_size, problem.n)
+            while True:
+                if kind == "rows":
+                    candidates = rng.integers(0, problem.m, shape)
+                else:
+                    candidates = rng.uniform(0.0, problem.m + 1.0, shape)
+                yielded.append(candidates.copy())
+                batch = yield candidates
+                received.append(batch.copy())
+                yield batch
+                resumed.append(len(received))
+
+        result = cuckoo._search(problem, config, cycles, None, stub)
+        assert len(yielded) == len(received) == cycles + 1
+        assert resumed == list(range(1, cycles + 1))
+        assert result.cycles_run == len(result.history) == cycles
+        for candidates, batch in zip(yielded, received):
+            assert candidates.dtype == (np.int64 if kind == "rows" else np.float64)
+            assert_same_batch(batch, _Run(problem, config.weights, None).evaluate(candidates))
 
 
 class TestSolve:
