@@ -35,7 +35,6 @@ from .instance import (
     generate_instance,
     read_instance,
     read_placement,
-    total_capacity,
     write_instance,
     write_placement,
 )

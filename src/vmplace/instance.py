@@ -19,7 +19,6 @@ __all__ = [
     "GeneratorConfig",
     "GeneratorError",
     "generate_instance",
-    "total_capacity",
     "read_instance",
     "write_instance",
     "read_placement",
@@ -268,11 +267,6 @@ def _draw_demands(rng: np.random.Generator, n: int, capacities: np.ndarray, floo
     raise GeneratorError(
         "cannot reach the demand floor with per-VM demands capped below mean capacity"
     )
-
-
-def total_capacity(problem: PlacementProblem) -> ResourceVector:
-    """Sum of server capacities across the fleet."""
-    return ResourceVector(*problem.capacity.sum(axis=1))
 
 
 def write_instance(problem: PlacementProblem, path: str | Path) -> None:

@@ -22,7 +22,6 @@ from vmplace import (
     generate_instance,
     read_instance,
     read_placement,
-    total_capacity,
     write_instance,
     write_placement,
 )
@@ -91,18 +90,6 @@ class TestPlacement:
         assert all(type(v) is int for v in placement.assign)
         assert np.array_equal(_assign0(split_problem, placement), row)
         assert Placement.from_row(_assign0(split_problem, placement)) == placement
-
-
-class TestTotalCapacity:
-    def test_two_servers(self):
-        p = make_problem([(10, 16), (20, 32)], [(1, 1), (1, 1), (1, 1)])
-        cap = total_capacity(p)
-        assert (cap.cpu, cap.mem) == (30.0, 48.0)
-
-    def test_single_server(self):
-        p = make_problem([(5, 8)], [(1, 1), (1, 1)])
-        cap = total_capacity(p)
-        assert (cap.cpu, cap.mem) == (5.0, 8.0)
 
 
 class TestGeneratorConfig:
