@@ -9,12 +9,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
 from .baselines import GaConfig, PsoConfig, solve_ffd, solve_ga, solve_pso
-from .cuckoo import SolveResult, SolverConfig, solve
+from .cuckoo import SolveResult, SolverConfig, _check_search, solve
 from .instance import GeneratorConfig, Placement, PlacementProblem, _checked_count, _write_json, generate_instance
 from .objectives import ScalarWeights, evaluate
 
@@ -159,13 +160,16 @@ def _instance_for(cfg: SweepConfig, vm_count: int, rep: int) -> tuple[PlacementP
 def make_config(algorithm: str, cycles: int, **fields):
     """The algorithm's config with ``cycles`` in its own cycle-count field; None for ffd.
 
-    ``fields`` are further config fields; ffd ignores them.  Raises ValueError
-    for an unknown algorithm or a value its config rejects.
+    ``fields`` are further config fields.  ffd ignores them, but its
+    ``cycles``, ``pop_size`` and ``seed`` are checked as the population
+    solvers check theirs.  Raises ValueError for an unknown algorithm or a
+    value its config rejects.
     """
     if algorithm not in ALGORITHM_TABLE:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     entry = ALGORITHM_TABLE[algorithm]
     if entry.config is None:
+        _check_search(SimpleNamespace(cycles=cycles, **fields), "cycles")
         return None
     return entry.config(**{entry.cycles_field: cycles}, **fields)
 

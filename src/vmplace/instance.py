@@ -94,8 +94,10 @@ class PlacementProblem:
 
     @cached_property
     def demand(self) -> np.ndarray:
-        """VM demands, ``(2, n)``."""
-        return _frozen_array([[getattr(v, r) for v in self.vms] for r in RESOURCES])
+        """VM demands, ``(2, n)``; building them runs ``_check_scale``."""
+        demand = _frozen_array([[getattr(v, r) for v in self.vms] for r in RESOURCES])
+        _check_scale(self.m, self.weight, self.capacity, demand)
+        return demand
 
     @cached_property
     def weight(self) -> np.ndarray:
@@ -127,6 +129,21 @@ class PlacementProblem:
     def vm_demand_measure(self) -> np.ndarray:
         """Per-VM demand combined across resources, normalized by mean capacity."""
         return _frozen_array((self.weight[:, None] * self.demand / self.mean_capacity[:, None]).sum(axis=0))
+
+
+def _check_scale(m: int, weight: np.ndarray, capacity: np.ndarray, demand: np.ndarray) -> None:
+    """ValueError naming a resource unless every utilization, squared deviation and score stays finite.
+
+    No server's utilization exceeds U = sum_r w_r * (sum of demands_r) / (smallest capacity_r),
+    so a finite m * U**2 bounds the load balance and the scalar as well.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = weight * demand.sum(axis=1) / capacity.min(axis=1)
+        if np.isfinite(m * bound.sum() ** 2):
+            return
+    r = int(np.argmax(bound))  # the largest term, or the first NaN
+    raise ValueError(f"{RESOURCES[r]} demands totalling {demand[r].sum():g} against a smallest {RESOURCES[r]} "
+                     f"capacity of {capacity[r].min():g} would make utilizations overflow")
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -289,7 +306,9 @@ def read_instance(path: str | Path) -> PlacementProblem:
             for key in ("servers", "vms")
         )
         alpha, beta = (float(_json_number(key, payload.get(key, 0.5))) for key in ("alpha", "beta"))
-        return PlacementProblem(servers, vms, alpha, beta)
+        problem = PlacementProblem(servers, vms, alpha, beta)
+        problem.demand  # builds the stacked arrays, which checks the instance's scale
+        return problem
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc!r}") from exc
 

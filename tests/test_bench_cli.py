@@ -219,6 +219,7 @@ def assert_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    return captured
 
 
 class TestSeedValidation:
@@ -380,6 +381,33 @@ class TestCliSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "capacities must be strictly positive" in captured.err
+
+    @pytest.mark.parametrize("algorithm", ["lamocs", "ga", "pso", "ffd"])
+    @pytest.mark.parametrize("servers, vms, resource", [
+        # a positive but subnormal capacity: every utilization is infinite
+        ([{"cpu": 5e-324, "mem": 16}] * 2, [{"cpu": c, "mem": c} for c in (1, 2, 3)], "cpu"),
+        # finite demands whose squared utilization deviations overflow
+        ([{"cpu": 10, "mem": 16}] * 3, [{"cpu": 1e200, "mem": 1}] * 2 + [{"cpu": 1, "mem": 1}] * 2, "cpu"),
+        ([{"cpu": 10, "mem": 1e-200}] * 3, [{"cpu": 1, "mem": 1}] * 3, "mem"),
+    ], ids=["subnormal-capacity", "huge-demand", "tiny-mem"])
+    def test_overflowing_scale_exit_2_writes_nothing(self, tmp_path, capsys, algorithm, servers, vms, resource):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"servers": servers, "vms": vms}))
+        out = tmp_path / "o.json"
+        argv = ["solve", str(inst), "--algorithm", algorithm, "--pop", "4", "--cycles", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{resource} demands" in assert_one_error_line(capsys).err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["ga", "ffd"])
+    @pytest.mark.parametrize("flags", [["--pop", "1"], ["--cycles", "-5"], ["--seed", "-3"]])
+    def test_bad_search_flag_exit_2_for_every_algorithm(self, tmp_path, capsys, algorithm, flags):
+        inst = tmp_path / "inst.json"
+        write_split_instance(inst)
+        out = tmp_path / "o.json"
+        assert main(["solve", str(inst), "--algorithm", algorithm, *flags, "--out", str(out)]) == 2
+        assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == [inst]
 
     @pytest.mark.parametrize("flag, value", [("--w-util", "nan"), ("--infeasibility-penalty", "inf")])
     def test_non_finite_weight_exit_2(self, tmp_path, capsys, flag, value):

@@ -208,10 +208,11 @@ class TestRepairRows:
             # the 0.9 it is 1.0000000000000002, and adding the 0.9 back gives 1.9,
             # so the evicted VM returns to its own server: changed, row the same
             ([(1.9, 10)], [(0.2, 1), (0.9, 1), (0.8, 1)], [[0, 0, 0]], [True]),
-            # server 1's load stays 0.2 + 0.1 - 0.2 - 0.1 = 2.8e-17 over its 1e-300
+            # server 1's load stays 0.2 + 0.1 - 0.2 - 0.1 = 2.8e-17 over its 1e-150
             # capacity once both its VMs have moved: it hosts nothing, so the row
             # gives up there, changed, rather than evict a VM from elsewhere
-            ([(1e-300, 1e-300), (10, 10), (10, 10)], [(0.1, 0.1), (0.2, 0.2), (5, 5)], [[0, 0, 1]], [True]),
+            # (a capacity much below 1e-150 would make utilizations overflow)
+            ([(1e-150, 1e-150), (10, 10), (10, 10)], [(0.1, 0.1), (0.2, 0.2), (5, 5)], [[0, 0, 1]], [True]),
         ],
     )
     def test_named_cases(self, servers, vms, rows, expected):

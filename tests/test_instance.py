@@ -17,6 +17,7 @@ from vmplace import (
     PlacementProblem,
     PsoConfig,
     ResourceVector,
+    ScalarWeights,
     SolverConfig,
     SweepConfig,
     generate_instance,
@@ -25,7 +26,7 @@ from vmplace import (
     write_instance,
     write_placement,
 )
-from vmplace.objectives import _assign0
+from vmplace.objectives import _assign0, batch_loads, batch_objectives, batch_scalarize
 
 from conftest import make_problem
 
@@ -283,6 +284,29 @@ class TestStackedArrays:
         # building them at construction would add array work to every instance load
         p = make_problem([(10, 20)], [(4, 8)])
         assert not {"capacity", "demand", "weight", "mean_capacity"} & set(vars(p))
+
+    @pytest.mark.parametrize("servers, vms, resource", [
+        ([(5e-324, 16)] * 2, [(1, 1), (2, 2), (3, 3)], "cpu"),
+        ([(10, 16)] * 3, [(1e200, 1)] * 2 + [(1, 1)] * 2, "cpu"),
+        ([(10, 1e-160)] * 3, [(1, 1)] * 3, "mem"),
+    ])
+    def test_scale_that_overflows_is_refused_on_first_use(self, tmp_path, servers, vms, resource):
+        """Every utilization, squared deviation and score must stay finite; construction still builds nothing."""
+        p = make_problem(servers, vms)
+        assert not {"capacity", "demand"} & set(vars(p))
+        with pytest.raises(ValueError, match=f"^{resource} demands"):
+            p.demand
+        path = tmp_path / "inst.json"
+        write_instance(p, path)
+        with pytest.raises(ValueError, match=f"^{resource} demands"):
+            read_instance(path)
+
+    def test_scale_just_inside_the_bound_scores_finitely(self):
+        # U = 0.5 * 2e153 / 10 = 1e152 and m * U**2 = 3e304; a weight of 0 leaves its resource out
+        p = make_problem([(10, 16)] * 3, [(1e153, 1), (1e153, 1)])
+        keys = batch_objectives(p, batch_loads(p, np.array([[0, 0], [0, 1]])))
+        assert np.isfinite(batch_scalarize(keys, ScalarWeights())).all()
+        assert make_problem([(5e-324, 16)] * 2, [(1, 1)], alpha=0.0, beta=1.0).demand.shape == (2, 1)
 
     def test_per_resource_views_stay_in_instance(self):
         """Outside ``instance.py`` the package reads the stacked arrays, never a cpu or mem view."""
