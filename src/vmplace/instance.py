@@ -138,12 +138,14 @@ def _check_scale(m: int, weight: np.ndarray, capacity: np.ndarray, demand: np.nd
     so a finite m * U**2 bounds the load balance and the scalar as well.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = weight * demand.sum(axis=1) / capacity.min(axis=1)
-        if np.isfinite(m * bound.sum() ** 2):
+        totals, smallest = demand.sum(axis=1), capacity.min(axis=1)
+        terms = weight * totals / smallest
+        bound = terms.sum()
+        if np.isfinite(m * bound * bound):
             return
-    r = int(np.argmax(bound))  # the largest term, or the first NaN
-    raise ValueError(f"{RESOURCES[r]} demands totalling {demand[r].sum():g} against a smallest {RESOURCES[r]} "
-                     f"capacity of {capacity[r].min():g} would make utilizations overflow")
+    r = int(np.argmax(terms))  # the largest term, or the first NaN
+    raise ValueError(f"{RESOURCES[r]} demands totalling {totals[r]:g} against a smallest {RESOURCES[r]} "
+                     f"capacity of {smallest[r]:g} would make utilizations overflow")
 
 
 def _frozen_array(values) -> np.ndarray:
