@@ -88,19 +88,7 @@ def _nest(nest) -> dict:
 def _solver_runs() -> list[tuple[str, object, object]]:
     return [
         ("lamocs", solve, SolverConfig(pop_size=20, max_cycles=30, seed=11)),
-        (
-            "lamocs_variant",
-            solve,
-            SolverConfig(
-                pop_size=20,
-                max_cycles=30,
-                seed=12,
-                la_applies_to="regenerated",
-                abandon_strategy="random",
-                penalty_b=0.0,
-                la_fraction=0.7,
-            ),
-        ),
+        ("lamocs_variant", solve, SolverConfig(pop_size=20, max_cycles=30, seed=12, penalty_b=0.0, la_fraction=0.7)),
         # no regeneration rows; every nest doomed each cycle; the smallest population
         ("lamocs_pa0", solve, SolverConfig(pop_size=20, max_cycles=30, seed=15, p_a=0.0)),
         ("lamocs_pa1", solve, SolverConfig(pop_size=20, max_cycles=30, seed=16, p_a=1.0)),
