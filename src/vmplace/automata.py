@@ -63,10 +63,7 @@ class AutomatonBank:
         if np.abs(probs.sum(axis=1) - 1.0).max() > _SIMPLEX_TOL:
             raise ValueError("every row of probabilities must sum to 1")
         probs.flags.writeable = False
-        if not 0.0 < self.reward_a < 1.0:
-            raise ValueError("reward_a must lie in (0, 1)")
-        if not 0.0 <= self.penalty_b < 1.0:
-            raise ValueError("penalty_b must lie in [0, 1)")
+        _check_factors(self.reward_a, self.penalty_b)
 
     @property
     def n(self) -> int:
@@ -80,6 +77,14 @@ class AutomatonBank:
     def automata(self) -> tuple[Automaton, ...]:
         """The rows as one-automaton objects."""
         return tuple(Automaton(row) for row in self.probs)
+
+
+def _check_factors(reward_a: float, penalty_b: float) -> None:
+    """Raise ValueError unless ``reward_a`` lies in (0, 1) and ``penalty_b`` in [0, 1)."""
+    if not 0.0 < reward_a < 1.0:
+        raise ValueError("reward_a must lie in (0, 1)")
+    if not 0.0 <= penalty_b < 1.0:
+        raise ValueError("penalty_b must lie in [0, 1)")
 
 
 def init_bank(

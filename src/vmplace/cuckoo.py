@@ -10,7 +10,7 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .automata import AutomatonBank, init_bank, sample_assignments, update_from_population
+from .automata import AutomatonBank, _check_factors, init_bank, sample_assignments, update_from_population
 from .instance import Placement, PlacementProblem, _check_seed, _checked_count
 from .objectives import (
     LoadWork,
@@ -36,8 +36,6 @@ __all__ = [
     "solve",
 ]
 
-LA_APPLIES_CHOICES = ("regenerated", "initial_population", "both")
-ABANDON_CHOICES = ("worst_ranked", "random")
 # Yang & Deb's fixed Lévy exponent, and the non-dominated archive's size bound
 LEVY_BETA = 1.5
 ARCHIVE_CAP = 100
@@ -74,8 +72,6 @@ class SolverConfig:
     la_fraction: float = 0.5
     reward_a: float = AutomatonBank.reward_a
     penalty_b: float = AutomatonBank.penalty_b
-    la_applies_to: str = "both"
-    abandon_strategy: str = "worst_ranked"
 
     def __post_init__(self) -> None:
         _check_search(self, "max_cycles")
@@ -85,14 +81,7 @@ class SolverConfig:
             raise ValueError("levy_scale must be finite and positive")
         if not 0.0 <= self.la_fraction <= 1.0:
             raise ValueError("la_fraction must lie in [0, 1]")
-        if not 0.0 < self.reward_a < 1.0:
-            raise ValueError("reward_a must lie in (0, 1)")
-        if not 0.0 <= self.penalty_b < 1.0:
-            raise ValueError("penalty_b must lie in [0, 1)")
-        if self.la_applies_to not in LA_APPLIES_CHOICES:
-            raise ValueError(f"la_applies_to must be one of {LA_APPLIES_CHOICES}")
-        if self.abandon_strategy not in ABANDON_CHOICES:
-            raise ValueError(f"abandon_strategy must be one of {ABANDON_CHOICES}")
+        _check_factors(self.reward_a, self.penalty_b)
 
 
 def _check_search(config, cycles: str) -> None:
@@ -548,15 +537,14 @@ def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None 
     """Run the automata-guided cuckoo search; deterministic for a fixed seed.
 
     Each cycle first makes all of its random draws, in this order: one Lévy
-    step per nest, a uniformly random target nest per step, the abandonment
-    permutation when ``abandon_strategy="random"``, and the ``ceil(p_a * pop)``
-    regenerated positions (an ``la_fraction`` share from the automaton bank,
-    the rest uniformly).  The Lévy proposals, all taken from the cycle-start
-    population, and the regenerated positions are then repaired and scored as
-    one batch.  Acceptance is one array operation: each target nest takes the
-    first of its proposals with the lowest scalar, if that beats it strictly.
-    The doomed nests (by default the worst after acceptance) take the
-    regenerated positions.  Last, the bank learns from the cycle's
+    step per nest, a uniformly random target nest per step, and the
+    ``ceil(p_a * pop)`` regenerated positions (an ``la_fraction`` share from
+    the automaton bank, the rest uniformly).  The Lévy proposals, all taken
+    from the cycle-start population, and the regenerated positions are then
+    repaired and scored as one batch.  Acceptance is one array operation:
+    each target nest takes the first of its proposals with the lowest
+    scalar, if that beats it strictly.  The worst nests after acceptance
+    take the regenerated positions.  Last, the bank learns from the cycle's
     scalar-best and scalar-worst placements, and the whole population is
     offered to the non-dominated archive.
     """
@@ -569,12 +557,10 @@ def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
     pop = config.pop_size
     scale = config.levy_scale if config.levy_scale is not None else 0.01 * (m - 1)
     bank = init_bank(n, m, config.reward_a, config.penalty_b)
-    la_initial = config.la_applies_to in ("initial_population", "both")
-    la_regenerated = config.la_applies_to in ("regenerated", "both")
     n_abandon = math.ceil(config.p_a * pop)
-    n_la = math.ceil(config.la_fraction * n_abandon) if la_regenerated else 0
+    n_la = math.ceil(config.la_fraction * n_abandon)
 
-    seed_la = math.ceil(config.la_fraction * pop) if la_initial else 0
+    seed_la = math.ceil(config.la_fraction * pop)
     nests = (yield _draw_positions(bank, rng, np.empty((pop, n)), seed_la)).copy()
     yield nests
 
@@ -590,8 +576,6 @@ def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
         gbest = X[int(np.argmin(nests.scalars))]
         steps = _levy(rng, LEVY_BETA, draws)
         targets = rng.integers(0, pop, pop)
-        if n_abandon and config.abandon_strategy == "random":
-            doomed = rng.permutation(pop)[:n_abandon]
         _draw_positions(bank, rng, fresh, n_la)
 
         # 2. One batch to score: the Lévy proposals, then the regenerated positions.
@@ -609,10 +593,9 @@ def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
         # 3. Acceptance, each proposal judged against its target nest.
         _accept(nests, _Batch(*(column[:pop] for column in batch)), targets)
 
-        # 4. Abandonment: the doomed nests take the regenerated positions.
+        # 4. Abandonment: the worst nests, worst first, take the regenerated positions.
         if n_abandon:
-            if config.abandon_strategy != "random":
-                doomed = np.argsort(nests.scalars, kind="stable")[-n_abandon:][::-1]
+            doomed = np.argsort(nests.scalars, kind="stable")[-n_abandon:][::-1]
             nests.put(doomed, batch, slice(pop, None))
 
         # 5. Bank update from the cycle's scalar-best and scalar-worst placements.

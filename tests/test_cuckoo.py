@@ -823,8 +823,6 @@ class TestSolve:
         for kwargs in (
             {"la_fraction": 0.0},
             {"penalty_b": 0.0},
-            {"la_applies_to": "regenerated"},
-            {"abandon_strategy": "random"},
             {"p_a": 1.0},
         ):
             result = solve(split_problem, SolverConfig(pop_size=8, max_cycles=15, seed=3, **kwargs))
@@ -883,8 +881,6 @@ class TestSolve:
             SolverConfig(pop_size=1)
         with pytest.raises(ValueError):
             SolverConfig(p_a=1.5)
-        with pytest.raises(ValueError):
-            SolverConfig(la_applies_to="sometimes")
         with pytest.raises(ValueError):
             SolverConfig(la_fraction=-0.1)
         with pytest.raises(ValueError):
