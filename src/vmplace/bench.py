@@ -221,9 +221,10 @@ def run_single(cfg: SweepConfig, pop: int, vm_count: int, algorithm: str, rep: i
 
 
 def run_sweep(cfg: SweepConfig) -> list[RunRecord]:
-    """All (pop, vm_count, algorithm, rep) cells, nested in that order; ``jobs`` > 1 runs them in a pool.
+    """All (pop, vm_count, algorithm, rep) cells, nested in that order.
 
-    An algorithm without a population (ffd) runs at the first size only, at
+    They run in a pool of ``min(jobs, cells)`` worker processes, or in this
+    process when that is 1.  An algorithm without a population (ffd) runs at the first size only, at
     pop 0: every other size would repeat the same runs.
     """
     cells = [
@@ -236,8 +237,9 @@ def run_sweep(cfg: SweepConfig) -> list[RunRecord]:
     ]
     run = partial(run_single, cfg)
     columns = zip(*cells)
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    jobs = min(cfg.jobs, len(cells))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run, *columns))
     return list(map(run, *columns))
 

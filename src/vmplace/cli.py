@@ -211,8 +211,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         return _fail("--count must be at least 1", EXIT_BAD_INPUT)
     if not (np.isfinite(args.tol) and args.tol >= 0):
         return _fail("--tol must be finite and non-negative", EXIT_BAD_INPUT)
-    rng = np.random.default_rng(args.seed)
     weights = ScalarWeights()
+    # --pop and --cycles, checked by every algorithm's config before the first draw;
+    # the seeds derived per instance are always valid
+    for algorithm in args.algorithms:
+        try:
+            bench.make_config(algorithm, args.cycles, pop_size=args.pop, seed=0, weights=weights)
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_BAD_INPUT)
+    rng = np.random.default_rng(args.seed)
     matches = {algorithm: 0 for algorithm in args.algorithms}
     # Compare only on instances whose optimum is feasible: repair rewrites
     # every overloaded candidate before scoring, so a raw all-overloaded
@@ -240,10 +247,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         compared += 1
         for algorithm in args.algorithms:
             seed = bench.derive_seed(args.seed, n, algorithm, attempts - 1)
-            try:
-                config = bench.make_config(algorithm, args.cycles, pop_size=args.pop, seed=seed, weights=weights)
-            except ValueError as exc:
-                return _fail(str(exc), EXIT_BAD_INPUT)
+            config = bench.make_config(algorithm, args.cycles, pop_size=args.pop, seed=seed, weights=weights)
             placement, _, _ = bench.run_algorithm(problem, algorithm, config)
             scalar = scalarize(evaluate(problem, placement), weights)
             if abs(scalar - oracle.scalar) <= args.tol:

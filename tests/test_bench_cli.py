@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from vmplace import ObjectiveVector, Placement, check_feasible, evaluate, generate_instance, GeneratorConfig, GeneratorError
 from vmplace import GaConfig, PsoConfig, SolverConfig
 from vmplace import bench, cli
-from vmplace.baselines import BruteForceResult
+from vmplace.baselines import BruteForceResult, brute_force
 from vmplace.bench import (
     RAW_COLUMNS,
     SweepConfig,
@@ -111,6 +111,30 @@ class TestRunSweep:
         assert [key(r) for r in serial] == [key(r) for r in parallel]
         # ffd has no population, so it runs at the first size only
         assert [r.report.pop for r in serial] == [4, 4, 0, 0, 6, 6]
+
+    @pytest.mark.parametrize("jobs, reps, workers", [(64, 1, None), (8, 2, 2), (2, 3, 2)])
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, jobs, reps, workers):
+        pools = []
+
+        class FakePool:
+            """Records its size and runs the cells in this process; starts no worker."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+        records = run_sweep(SweepConfig(**{**SMALL, "reps": reps}, algorithms=("ffd",), jobs=jobs))
+        assert len(records) == reps
+        assert pools == ([] if workers is None else [workers])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -296,6 +320,11 @@ class TestCliGenerate:
 
 
 class TestCliSolve:
+    def test_every_lamocs_setting_has_a_flag(self):
+        # a SolverConfig field that `solve` cannot set would be a test-only knob
+        names = {f.name for f in fields(SolverConfig)}
+        assert names == {"pop_size", "max_cycles", "seed", "weights", *cli._LAMOCS_FLAGS}
+
     def test_solves_split_instance(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         write_split_instance(inst)
@@ -729,6 +758,18 @@ class TestCliOracleCheck:
         rc = main(["oracle-check", "--count", "1", "--pop", "1", "--algorithms", "ga"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flags", [
+        ["--pop", "1", "--algorithms", "ga"],
+        ["--cycles", "-1", "--algorithms", "lamocs"],
+        ["--pop", "1", "--algorithms", "ffd", "pso"],
+    ])
+    def test_bad_search_flag_exit_2_before_brute_force(self, monkeypatch, capsys, flags):
+        calls = []
+        monkeypatch.setattr(cli, "brute_force", lambda *args: calls.append(args) or brute_force(*args))
+        assert main(["oracle-check", "--max-servers", "3", "--max-vms", "9", *flags]) == 2
+        assert calls == []
+        assert_one_error_line(capsys)
 
 
 class TestCliUnknownAlgorithm:
