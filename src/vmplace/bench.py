@@ -224,8 +224,9 @@ def run_sweep(cfg: SweepConfig) -> list[RunRecord]:
     """All (pop, vm_count, algorithm, rep) cells, nested in that order.
 
     They run in a pool of ``min(jobs, cells)`` worker processes, or in this
-    process when that is 1.  An algorithm without a population (ffd) runs at the first size only, at
-    pop 0: every other size would repeat the same runs.
+    process when that is 1.  An algorithm without a population (ffd) runs
+    at the first size only, at pop 0: every other size would repeat the
+    same runs.
     """
     cells = [
         (pop, vm_count, algorithm, rep)
