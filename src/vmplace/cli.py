@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--pop", type=int, default=SolverConfig.pop_size)
     p_solve.add_argument("--cycles", type=int, default=SolverConfig.max_cycles)
     p_solve.add_argument("--pa", dest="p_a", metavar="PA", type=float, help="abandonment fraction (lamocs)")
-    p_solve.add_argument("--la-fraction", type=float, help="share of regenerated nests drawn from the automata")
+    p_solve.add_argument("--la-fraction", type=float, help="share of initial and regenerated nests drawn from the automata")
     p_solve.add_argument("--reward-a", type=float)
     p_solve.add_argument("--penalty-b", type=float)
     p_solve.add_argument("--levy-scale", type=float, help="step scale; default 0.01 * (m - 1)")
