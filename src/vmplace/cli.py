@@ -207,6 +207,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         return _fail("--max-servers must be at least 2", EXIT_BAD_INPUT)
     if args.max_vms <= args.max_servers:
         return _fail("--max-vms must exceed --max-servers", EXIT_BAD_INPUT)
+    # no drawn instance has more placements than max_servers ** max_vms; with
+    # max_servers >= 2, max_vms at the limit's bit length is already too many,
+    # which spares building a huge power
+    if args.max_vms >= BRUTE_FORCE_LIMIT.bit_length() or args.max_servers**args.max_vms > BRUTE_FORCE_LIMIT:
+        return _fail(
+            f"--max-servers {args.max_servers} and --max-vms {args.max_vms} allow "
+            f"{args.max_servers}^{args.max_vms} placements, too many for the oracle",
+            EXIT_BAD_INPUT,
+        )
     if args.count < 1:
         return _fail("--count must be at least 1", EXIT_BAD_INPUT)
     if not (np.isfinite(args.tol) and args.tol >= 0):
@@ -230,8 +239,6 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     while compared < args.count and attempts < max_attempts:
         m = int(rng.integers(2, args.max_servers + 1))
         n = int(rng.integers(m + 1, args.max_vms + 1))
-        if m**n > BRUTE_FORCE_LIMIT:
-            return _fail(f"m={m}, n={n} too large for the oracle", EXIT_BAD_INPUT)
         problem = generate_instance(
             GeneratorConfig(
                 m=m,

@@ -771,6 +771,30 @@ class TestCliOracleCheck:
         assert calls == []
         assert_one_error_line(capsys)
 
+    def test_oversize_bounds_exit_2_before_brute_force(self, monkeypatch, capsys):
+        # 4**12 placements pass the limit; seed 0 draws many smaller instances first
+        calls = []
+        monkeypatch.setattr(cli, "brute_force", lambda *args: calls.append(args) or brute_force(*args))
+        rc = main(["oracle-check", "--max-servers", "4", "--max-vms", "12", "--count", "5", "--algorithms", "ffd"])
+        assert rc == 2
+        assert calls == []
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("max_vms, code", [(4, 0), (5, 2)])
+    def test_placement_limit_boundary(self, monkeypatch, capsys, max_vms, code):
+        # 3**4 = 81 placements fit a limit of 100, 3**5 = 243 do not
+        monkeypatch.setattr(cli, "BRUTE_FORCE_LIMIT", 100)
+        calls = []
+        monkeypatch.setattr(cli, "brute_force", lambda *args: calls.append(args) or brute_force(*args))
+        rc = main(["oracle-check", "--max-servers", "3", "--max-vms", str(max_vms), "--count", "1",
+                   "--algorithms", "ffd"])
+        assert rc == code
+        if code:
+            assert calls == []
+            assert_one_error_line(capsys)
+        else:
+            assert calls
+
 
 class TestCliUnknownAlgorithm:
     @pytest.mark.parametrize("command", ["solve", "bench", "oracle-check"])
