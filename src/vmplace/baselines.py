@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -76,11 +77,11 @@ def _ga(run: _Run, rng: np.random.Generator, config: GaConfig):
     population = (yield rng.integers(0, m, (pop, n))).copy()
     yield population
 
-    # Per-solve buffers: the children, the second parents' rows, the
-    # mutation draws and one (pop - 1, n) mask.
+    # Per-solve buffers: the children, the second parents' rows and the
+    # crossover mask.  Mutation draws a site and a server only for the about
+    # GA_MUTATION_RATE share of genes it resets.
     children = np.empty((pop - 1, n), dtype=np.int64)
     mates = np.empty_like(children)
-    draws = np.empty(children.shape)
     mask = np.empty(children.shape, dtype=bool)
     cols = np.arange(n)
     while True:
@@ -97,14 +98,31 @@ def _ga(run: _Run, rng: np.random.Generator, config: GaConfig):
             np.greater_equal(cols, points[:, None], out=mask)
             mask &= crossed[:, None]
             np.copyto(children, rows.take(second, axis=0, out=mates, mode="clip"), where=mask)
-        np.less(rng.random(out=draws), GA_MUTATION_RATE, out=mask)
-        np.copyto(children, rng.integers(0, m, (pop - 1, n)), where=mask)
+        sites = _bernoulli_sites(rng, children.size, GA_MUTATION_RATE)
+        children.put(sites, rng.integers(0, m, sites.size))
 
         # the elite moves to row 0 and the scored children fill the rest
         offspring = yield children
         population.put(0, population, elite)
         population.put(slice(1, None), offspring, slice(None))
         yield population
+
+
+def _bernoulli_sites(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
+    """Sorted flat indices below ``size``, each one in independently with probability ``rate``.
+
+    The gaps between the successes of a Bernoulli process are i.i.d.
+    geometric (Devroye 1986, ch. 10), so the sites are the cumulative sums
+    of ``rng.geometric`` draws, made a chunk at a time (the mean site count
+    plus 4 standard deviations) until one passes ``size``.  This draws about
+    ``size * rate`` numbers instead of ``size``.
+    """
+    mean = size * rate
+    chunk = math.ceil(mean + 4.0 * math.sqrt(mean * (1.0 - rate))) + 1
+    ends = np.cumsum(rng.geometric(rate, chunk))
+    while ends[-1] <= size:
+        ends = np.concatenate((ends, ends[-1] + np.cumsum(rng.geometric(rate, chunk))))
+    return ends[: np.searchsorted(ends, size, side="right")] - 1
 
 
 def solve_pso(problem: PlacementProblem, config: PsoConfig, trace: TextIO | None = None) -> SolveResult:

@@ -536,8 +536,9 @@ def _accept(nests: _Batch, prop: _Batch, targets: np.ndarray) -> None:
 def solve(problem: PlacementProblem, config: SolverConfig, trace: TextIO | None = None) -> SolveResult:
     """Run the automata-guided cuckoo search; deterministic for a fixed seed.
 
-    Each cycle first makes all of its random draws, in this order: one Lévy
-    step per nest, a uniformly random target nest per step, and the
+    Each cycle first makes all of its random draws, in this order: a Lévy
+    step for each coordinate that differs from the best nest's (the others
+    stay put), a uniformly random target nest per proposal, and the
     ``ceil(p_a * pop)`` regenerated positions (an ``la_fraction`` share from
     the automaton bank, the rest uniformly).  The Lévy proposals, all taken
     from the cycle-start population, and the regenerated positions are then
@@ -565,29 +566,36 @@ def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
     yield nests
 
     # Per-solve buffers: the cycle's candidates (proposals, then regenerated
-    # positions), the Lévy draws and the NaN mask of the proposals.
+    # positions), the Lévy draws (u, then v) of at most every coordinate, and
+    # one mask, of the moving coordinates and then of the NaN proposals.
     candidates = np.empty((pop + n_abandon, n))
     proposals, fresh = candidates[:pop], candidates[pop:]
-    draws = np.empty((2, pop, n))
-    stuck = np.empty((pop, n), dtype=bool)
+    draws = np.empty((2, pop * n))
+    mask = np.empty((pop, n), dtype=bool)
     while True:
-        # 1. The cycle's random draws, before any evaluation.
+        # 1. The cycle's random draws, before any evaluation.  A coordinate at
+        # the best nest's position has distance 0 and stays put, so Lévy steps
+        # are drawn for the k moving coordinates only.
         X = nests.positions
         gbest = X[int(np.argmin(nests.scalars))]
-        steps = _levy(rng, LEVY_BETA, draws)
+        np.subtract(X, gbest, out=proposals)
+        k = np.count_nonzero(np.not_equal(proposals, 0.0, out=mask))
+        steps = _levy(rng, LEVY_BETA, draws[:, :k])
         targets = rng.integers(0, pop, pop)
         _draw_positions(bank, rng, fresh, n_la)
 
         # 2. One batch to score: the Lévy proposals, then the regenerated positions.
-        # In place, this is clip(X + scale * steps * (X - gbest), 1, m).
-        np.subtract(X, gbest, out=proposals)
+        # In place, this is clip(X + scale * steps * (X - gbest), 1, m): the
+        # moving distances are compressed into the spent v row, scaled and
+        # placed back.
         steps *= scale
-        # an infinite step times a zero distance is NaN: that coordinate stays put
-        with np.errstate(invalid="ignore"):
-            proposals *= steps
-            proposals += X
-            np.clip(proposals, 1.0, float(m), out=proposals)
-        np.copyto(proposals, X, where=np.isnan(proposals, out=stuck))
+        moved = np.compress(mask.ravel(), proposals, out=draws[1, :k])
+        moved *= steps
+        np.place(proposals, mask, moved)
+        proposals += X
+        np.clip(proposals, 1.0, float(m), out=proposals)
+        # a NaN step leaves its coordinate where it is
+        np.copyto(proposals, X, where=np.isnan(proposals, out=mask))
         batch = yield candidates
 
         # 3. Acceptance, each proposal judged against its target nest.

@@ -23,7 +23,7 @@ from vmplace import (
     solve_pso,
 )
 
-from vmplace.baselines import PSO_C1, PSO_C2, PSO_INERTIA, _pso_move
+from vmplace.baselines import GA_MUTATION_RATE, PSO_C1, PSO_C2, PSO_INERTIA, _bernoulli_sites, _pso_move
 
 from conftest import make_problem, random_problem
 
@@ -88,6 +88,35 @@ class TestGa:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GaConfig(pop_size=1)
+
+
+class TestBernoulliSites:
+    """GA's mutation sites, drawn as the geometric gaps between successes."""
+
+    @pytest.mark.parametrize("size, rate", [(1, 0.05), (12, 0.05), (19_800, 0.05), (40, 0.5)])
+    def test_sorted_unique_in_range_and_repeatable(self, size, rate):
+        for seed in range(40):
+            sites = _bernoulli_sites(np.random.default_rng(seed), size, rate)
+            assert sites.dtype == np.int64
+            assert np.all(np.diff(sites) > 0)
+            assert sites.size == 0 or (sites[0] >= 0 and sites[-1] < size)
+            assert np.array_equal(sites, _bernoulli_sites(np.random.default_rng(seed), size, rate))
+
+    def test_binomial_law(self):
+        """Each site's frequency and the count's mean and variance are Binomial(12, 0.05)'s within 4 standard errors."""
+        size, rate, draws = 12, GA_MUTATION_RATE, 200_000
+        rng = np.random.default_rng(37)
+        hits = np.zeros(size)
+        counts = np.empty(draws)
+        for i in range(draws):
+            sites = _bernoulli_sites(rng, size, rate)
+            hits[sites] += 1
+            counts[i] = sites.size
+        var = size * rate * (1 - rate)
+        fourth = var * (1 + 3 * (size - 2) * rate * (1 - rate))  # Binomial's central fourth moment
+        assert np.all(np.abs(hits / draws - rate) < 4 * np.sqrt(rate * (1 - rate) / draws))
+        assert abs(counts.mean() - size * rate) < 4 * np.sqrt(var / draws)
+        assert abs(counts.var() - var) < 4 * np.sqrt((fourth - var**2) / draws)
 
 
 class TestPso:

@@ -767,6 +767,79 @@ class TestSearch:
             assert_same_batch(batch, _Run(problem, config.weights, None).evaluate(candidates))
 
 
+class CountingRng:
+    """A seeded generator that records the size of each ``standard_normal`` draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.normals = []
+
+    def standard_normal(self, *args, **kwargs):
+        drawn = self._rng.standard_normal(*args, **kwargs)
+        self.normals.append(np.size(drawn))
+        return drawn
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestLevyMove:
+    """LAMOCS draws Lévy steps only for the coordinates off the best nest."""
+
+    def test_two_normals_per_moving_coordinate(self, monkeypatch):
+        """Each cycle draws u and v for its k moving coordinates; the others are proposed at X, bit for bit."""
+        problem = random_problem(np.random.default_rng(31), m=4, n=9)
+        config = SolverConfig(pop_size=10, max_cycles=15, seed=3)
+        rng = CountingRng(config.seed)
+        starts, inputs = [], []
+        record, run_evaluate = cuckoo._Run.record, cuckoo._Run.evaluate
+
+        def recording(run, batch, *args):
+            starts.append((batch.positions.copy(), batch.scalars.copy()))
+            return record(run, batch, *args)
+
+        def evaluating(run, positions):
+            inputs.append(positions.copy())
+            return run_evaluate(run, positions)
+
+        monkeypatch.setattr(cuckoo._Run, "record", recording)
+        monkeypatch.setattr(cuckoo._Run, "evaluate", evaluating)
+        cuckoo._search(problem, config, config.max_cycles, None, lambda run, _, cfg: cuckoo._lamocs(run, rng, cfg))
+
+        moving = []
+        for (X, scalars), candidates in zip(starts, inputs[1:]):
+            still = X == X[int(np.argmin(scalars))]
+            moving += [still.size - np.count_nonzero(still)] * 2
+            proposals = candidates[: config.pop_size]
+            assert proposals[still].tobytes() == X[still].tobytes()
+        assert rng.normals == moving
+        assert sum(moving) < 2 * config.max_cycles * config.pop_size * problem.n
+
+    def test_no_moving_coordinate_draws_no_normal(self):
+        """With every nest at one position and no abandonment, no cycle draws a normal and every proposal stays put."""
+        problem = random_problem(np.random.default_rng(32), m=3, n=7)
+        config = SolverConfig(pop_size=6, max_cycles=5, p_a=0.0, seed=4)
+        rng = CountingRng(config.seed)
+        proposed = []
+
+        def pinned(run, _, config):
+            operator = cuckoo._lamocs(run, rng, config)
+            candidates = next(operator)
+            candidates[:] = candidates[0]
+            while True:
+                batch = yield candidates
+                yield operator.send(batch)
+                candidates = next(operator)
+                proposed.append(candidates.copy())
+
+        result = cuckoo._search(problem, config, config.max_cycles, None, pinned)
+        assert result.cycles_run == config.max_cycles
+        assert rng.normals == [0] * (2 * config.max_cycles)
+        assert len(proposed) == config.max_cycles
+        for candidates in proposed:
+            assert candidates.tobytes() == np.broadcast_to(result.best.position, candidates.shape).tobytes()
+
+
 class TestSolve:
     def test_single_server_shortcut(self):
         p = make_problem([(10, 16)], [(2, 4), (3, 4)])
@@ -843,12 +916,13 @@ class TestSolve:
         )
 
     def test_non_finite_levy_steps(self, monkeypatch):
-        """An infinite step clips to 1 or m; times a zero distance, or a NaN step, it stays put."""
+        """An infinite step clips to 1 or m and a NaN step stays put; a zero distance draws no step and stays put."""
 
-        def levy(rng, beta, shape):
-            steps = _levy(rng, beta, shape)
-            steps[:, 0] = np.inf
-            steps[:, 1] = np.nan  # u == v == 0
+        def levy(rng, beta, out):
+            # one step per moving coordinate, in flat order
+            steps = _levy(rng, beta, out)
+            steps[0::3] = np.inf
+            steps[1::3] = np.nan  # u == v == 0
             return steps
 
         inputs, outputs = [], []
@@ -869,11 +943,15 @@ class TestSolve:
         assert result.best.scalar == scalarize(evaluate(p, result.best.decoded), cfg.weights)
 
         X, scalars = outputs[0]
-        gbest = X[int(np.argmin(scalars))]
-        proposals = inputs[1][: cfg.pop_size]
-        assert np.array_equal(proposals[:, 1], X[:, 1])
-        expected = np.where(X[:, 0] > gbest[0], float(p.m), np.where(X[:, 0] < gbest[0], 1.0, X[:, 0]))
-        assert np.array_equal(proposals[:, 0], expected)
+        gbest = np.broadcast_to(X[int(np.argmin(scalars))], X.shape).ravel()
+        X, proposals = X.ravel(), inputs[1][: cfg.pop_size].ravel()
+        moving = np.flatnonzero(X != gbest)
+        infinite, nan, still = moving[0::3], moving[1::3], np.flatnonzero(X == gbest)
+        assert infinite.size and nan.size and still.size
+        expected = np.where(X[infinite] > gbest[infinite], float(p.m), 1.0)
+        assert np.array_equal(proposals[infinite], expected)
+        assert np.array_equal(proposals[nan], X[nan])
+        assert np.array_equal(proposals[still], X[still])
         assert np.isfinite(np.concatenate(inputs)).all()
 
     def test_config_validation(self):
