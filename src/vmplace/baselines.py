@@ -109,7 +109,7 @@ def _ga(run: _Run, rng: np.random.Generator, config: GaConfig):
 
 
 def _bernoulli_sites(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
-    """Sorted flat indices below ``size``, each one in independently with probability ``rate``.
+    """Sorted flat indices below ``size``, each included independently with probability ``rate``.
 
     The gaps between the successes of a Bernoulli process are i.i.d.
     geometric (Devroye 1986, ch. 10), so the sites are the cumulative sums

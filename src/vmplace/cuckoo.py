@@ -566,8 +566,9 @@ def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
     yield nests
 
     # Per-solve buffers: the cycle's candidates (proposals, then regenerated
-    # positions), the Lévy draws (u, then v) of at most every coordinate, and
-    # one mask, of the moving coordinates and then of the NaN proposals.
+    # positions), the Lévy draws (u, then v), room for every coordinate to
+    # move, and one mask, of the moving coordinates and then of the NaN
+    # proposals.
     candidates = np.empty((pop + n_abandon, n))
     proposals, fresh = candidates[:pop], candidates[pop:]
     draws = np.empty((2, pop * n))
