@@ -59,8 +59,6 @@ ALGORITHM_TABLE = {
 ALGORITHMS = tuple(ALGORITHM_TABLE)
 
 _AGG_METRICS = ("utilization", "load_balance", "active_servers", "wall_time_ms")
-# the SweepConfig fields that every instance's GeneratorConfig takes as they are
-_GENERATOR_FIELDS = ("m", "cpu_range", "mem_range", "demand_floor_ratio", "alpha", "beta")
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,8 @@ class RunRecord:
 class SweepConfig:
     """The sweep grid pop_sizes x vm_counts x algorithms x reps, and its settings.
 
-    Defaults reproduce the headline protocol at m=20.  No axis may repeat a value.
+    Defaults reproduce the headline protocol at m=20.  No axis may repeat a
+    value.  Instances take ``GeneratorConfig``'s defaults.
     """
 
     vm_counts: tuple[int, ...] = (20, 40, 60, 80, 100)
@@ -106,11 +105,6 @@ class SweepConfig:
     base_seed: int = 0
     pop_sizes: tuple[int, ...] = (100,)
     cycles: int = 500
-    cpu_range: tuple[float, float] = GeneratorConfig.cpu_range
-    mem_range: tuple[float, float] = GeneratorConfig.mem_range
-    demand_floor_ratio: float = GeneratorConfig.demand_floor_ratio
-    alpha: float = GeneratorConfig.alpha
-    beta: float = GeneratorConfig.beta
     weights: ScalarWeights = field(default_factory=ScalarWeights)
     jobs: int = 1
 
@@ -124,21 +118,16 @@ class SweepConfig:
             if len(set(values)) < len(values):
                 raise ValueError(f"{axis} repeats a value: {list(values)}")
         _checked_count("base_seed", self.base_seed)  # may be negative: derive_seed hashes it
-        if _checked_count("m", self.m) < 1:
-            raise ValueError("m must be at least 1")
-        if any(n < self.m for n in self.vm_counts):
-            raise ValueError("every vm_count must be at least the server count")
-        if _checked_count("reps", self.reps) < 1:
-            raise ValueError("reps must be at least 1")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise ValueError(f"unknown algorithms: {unknown}; choose from {ALGORITHMS}")
-        if any(pop < 2 for pop in self.pop_sizes):
-            raise ValueError("every pop size must be at least 2")
-        if _checked_count("cycles", self.cycles) < 1:
-            raise ValueError("cycles must be at least 1")
-        if _checked_count("jobs", self.jobs) < 1:
-            raise ValueError("jobs must be at least 1")
+        _checked_count("cycles", self.cycles)  # here so the error names cycles, not max_cycles
+        for name in ("reps", "jobs"):
+            if _checked_count(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        # every other rule is checked by building what each cell builds, before any draw
+        for n in self.vm_counts:
+            GeneratorConfig(m=self.m, n=n)
+        for algorithm in self.algorithms:
+            for pop in self.pop_sizes:
+                make_config(algorithm, self.cycles, pop_size=pop, seed=0, weights=self.weights)
 
 
 def derive_seed(base_seed: int, vm_count: int, algorithm_id: str, rep: int) -> int:
@@ -153,8 +142,7 @@ def derive_seed(base_seed: int, vm_count: int, algorithm_id: str, rep: int) -> i
 
 def _instance_for(cfg: SweepConfig, vm_count: int, rep: int) -> tuple[PlacementProblem, int]:
     instance_seed = derive_seed(cfg.base_seed, vm_count, "instance", rep)
-    settings = {name: getattr(cfg, name) for name in _GENERATOR_FIELDS}
-    return generate_instance(GeneratorConfig(n=vm_count, seed=instance_seed, **settings)), instance_seed
+    return generate_instance(GeneratorConfig(m=cfg.m, n=vm_count, seed=instance_seed)), instance_seed
 
 
 def make_config(algorithm: str, cycles: int, **fields):
@@ -299,7 +287,10 @@ def write_aggregate_json(rows: list[dict], path: str | Path) -> None:
 
 
 def write_metadata(cfg: SweepConfig, path: str | Path) -> None:
-    """Sidecar with every knob needed to reproduce the sweep; no timestamps."""
+    """Sidecar with every ``bench`` setting but ``jobs``, and the seed formula; no timestamps.
+
+    Instances take ``GeneratorConfig``'s defaults, so these reproduce the sweep.
+    """
     payload = asdict(cfg)
     del payload["jobs"]  # worker count: the sweep's rows do not depend on it
     payload["seed_formula"] = "blake2b64('{base_seed}|{vm_count}|{algorithm_id}|{rep}'), instances use algorithm_id='instance'"

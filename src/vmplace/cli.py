@@ -75,7 +75,7 @@ def _add_weight_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        cfg = GeneratorConfig(m=args.servers, n=args.vms, beta=1.0 - args.alpha, **_pick(args, _GENERATOR_FIELDS))
+        cfg = GeneratorConfig(m=args.servers, n=args.vms, **_pick(args, _GENERATOR_FIELDS))
     except ValueError as exc:
         return _fail(str(exc), EXIT_BAD_INPUT)
     try:

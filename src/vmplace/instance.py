@@ -71,7 +71,11 @@ class PlacementProblem:
             raise ValueError("need at least one server")
         if not self.vms:
             raise ValueError("need at least one VM")
-        _check_weights(self.alpha, self.beta)
+        # in [0, 1], so neither weight is NaN or infinite
+        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
+            raise ValueError("alpha and beta must lie in [0, 1]")
+        if abs(self.alpha + self.beta - 1.0) > _WEIGHT_TOL:
+            raise ValueError("alpha + beta must equal 1")
         for what, vectors in (("server capacities", self.servers), ("VM demands", self.vms)):
             if any(v.cpu <= 0.0 or v.mem <= 0.0 for v in vectors):
                 raise ValueError(f"{what} must be strictly positive in both resources")
@@ -186,7 +190,10 @@ class Placement:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Settings for the synthetic near-saturation instance generator."""
+    """Settings for the synthetic near-saturation instance generator.
+
+    ``alpha`` weighs cpu in the instance it draws; memory takes ``1 - alpha``.
+    """
 
     m: int
     n: int
@@ -195,7 +202,6 @@ class GeneratorConfig:
     demand_floor_ratio: float = 0.9
     seed: int = 0
     alpha: float = 0.5
-    beta: float = 0.5
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cpu_range", _checked_range("cpu_range", self.cpu_range))
@@ -207,15 +213,8 @@ class GeneratorConfig:
         _check_seed(self.seed)
         if not 0.0 < self.demand_floor_ratio < 1.0:
             raise ValueError("demand_floor_ratio must lie in (0, 1)")
-        _check_weights(self.alpha, self.beta)
-
-
-def _check_weights(alpha: float, beta: float) -> None:
-    """Raise unless alpha and beta lie in [0, 1] (so neither is NaN or infinite) and sum to 1."""
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ValueError("alpha and beta must lie in [0, 1]")
-    if abs(alpha + beta - 1.0) > _WEIGHT_TOL:
-        raise ValueError("alpha + beta must equal 1")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
 
 
 def _checked_count(name: str, value) -> int:
@@ -259,7 +258,7 @@ def generate_instance(cfg: GeneratorConfig) -> PlacementProblem:
     capacity = [rng.uniform(lo, hi, cfg.m) for lo, hi in (cfg.cpu_range, cfg.mem_range)]
     demand = [_draw_demands(rng, cfg.n, cap, cfg.demand_floor_ratio) for cap in capacity]
     servers, vms = (tuple(map(ResourceVector, *values)) for values in (capacity, demand))
-    return PlacementProblem(servers, vms, cfg.alpha, cfg.beta)
+    return PlacementProblem(servers, vms, cfg.alpha, 1.0 - cfg.alpha)
 
 
 def _draw_demands(rng: np.random.Generator, n: int, capacities: np.ndarray, floor_ratio: float) -> np.ndarray:

@@ -137,16 +137,7 @@ def test_04_feasible_flags_survive_reevaluation(default_sweep, capsys):
     mismatches = 0
     for rec in records:
         problem = generate_instance(
-            GeneratorConfig(
-                m=cfg.m,
-                n=rec.report.n,
-                cpu_range=cfg.cpu_range,
-                mem_range=cfg.mem_range,
-                demand_floor_ratio=cfg.demand_floor_ratio,
-                seed=rec.instance_seed,
-                alpha=cfg.alpha,
-                beta=cfg.beta,
-            )
+            GeneratorConfig(m=cfg.m, n=rec.report.n, seed=rec.instance_seed)
         )
         actually_feasible, _ = check_feasible(problem, rec.placement)
         flagged += rec.report.feasible

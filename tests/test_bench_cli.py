@@ -57,9 +57,7 @@ class TestRunSingle:
         cfg = SweepConfig(**SMALL)
         rec = run_single(cfg, 10, 8, "lamocs", 0)
         problem = generate_instance(
-            GeneratorConfig(m=cfg.m, n=8, cpu_range=cfg.cpu_range, mem_range=cfg.mem_range,
-                            demand_floor_ratio=cfg.demand_floor_ratio, seed=rec.instance_seed,
-                            alpha=cfg.alpha, beta=cfg.beta)
+            GeneratorConfig(m=cfg.m, n=8, seed=rec.instance_seed)
         )
         objs = evaluate(problem, rec.placement)
         assert rec.report.utilization == objs.utilization
@@ -279,6 +277,21 @@ class TestSeedValidation:
 
 
 class TestCliGenerate:
+    def test_every_generator_setting_has_a_flag(self, tmp_path, capsys, monkeypatch):
+        # a GeneratorConfig field that `generate` cannot set would be a test-only knob
+        assert {f.name for f in fields(GeneratorConfig)} == {"m", "n", *cli._GENERATOR_FIELDS}
+        seen = []
+        monkeypatch.setattr(cli, "generate_instance", lambda cfg: seen.append(cfg) or generate_instance(cfg))
+        rc = main([
+            "generate", "--servers", "3", "--vms", "9", "--seed", "5", "--cpu-range", "5", "6",
+            "--mem-range", "7", "8", "--demand-floor", "0.5", "--alpha", "0.3", "--out", str(tmp_path / "x.json"),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        [cfg] = seen
+        defaults = GeneratorConfig(m=1, n=1)
+        assert [f.name for f in fields(GeneratorConfig) if getattr(cfg, f.name) == getattr(defaults, f.name)] == []
+
     def test_writes_valid_instance(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
         rc = main(["generate", "--servers", "3", "--vms", "9", "--seed", "5", "--out", str(out)])
@@ -563,6 +576,36 @@ def strip_wall_time(csv_text: str) -> list[list[str]]:
 
 
 class TestCliBench:
+    def test_every_sweep_setting_has_a_flag(self, tmp_path, capsys, monkeypatch):
+        # a SweepConfig field that `bench` cannot set would be a test-only knob
+        seen = []
+        monkeypatch.setattr(bench, "run_sweep", lambda cfg: seen.append(cfg) or run_sweep(replace(cfg, jobs=1)))
+        rc = main([
+            "bench", "--vm-counts", "8", "--servers", "4", "--reps", "2", "--algorithms", "ffd",
+            "--base-seed", "5", "--pop", "4", "6", "--cycles", "2", "--jobs", "2",
+            "--w-util", "0.5", "--w-lb", "0.25", "--w-active", "0.25", "--infeasibility-penalty", "5",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        [cfg] = seen
+        defaults = SweepConfig()
+        assert [f.name for f in fields(SweepConfig) if getattr(cfg, f.name) == getattr(defaults, f.name)] == []
+
+    def test_zero_cycles_writes_one_row_per_cell(self, tmp_path, capsys):
+        # as `solve --cycles 0` does, each population solver scores its initial population only
+        out = tmp_path / "zero.csv"
+        rc = main([
+            "bench", "--vm-counts", "6", "8", "--servers", "3", "--reps", "2",
+            "--algorithms", "lamocs", "ga", "pso", "ffd", "--pop", "4", "--cycles", "0", "--out", str(out),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        with open(tmp_path / "zero.raw.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        cells = [(int(r["n"]), r["algorithm"], int(r["rep"])) for r in rows]
+        assert cells == [(n, a, rep) for n in (6, 8) for a in ("lamocs", "ga", "pso", "ffd") for rep in (0, 1)]
+
     def test_small_sweep_files(self, tmp_path, capsys):
         out = tmp_path / "results.csv"
         rc = main([

@@ -162,6 +162,9 @@ class TestGenerateInstance:
         a, b = generate_instance(cfg), generate_instance(cfg)
         assert a == b
 
+    def test_memory_weight_is_one_minus_alpha(self):
+        assert generate_instance(GeneratorConfig(m=2, n=3, alpha=0.3)).beta == 1.0 - 0.3
+
     def test_single_server(self):
         cfg = GeneratorConfig(m=1, n=2, seed=7)
         problem = generate_instance(cfg)
