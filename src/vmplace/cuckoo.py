@@ -135,24 +135,24 @@ def _mantegna_sigma(beta: float) -> float:
     return (num / den) ** (1.0 / beta)
 
 
-def _levy(rng: np.random.Generator, beta: float, out) -> np.ndarray:
-    """Heavy-tailed steps u / |v|^(1/beta), with the stable-matching sigma for u.
+# Mantegna's sigma for u at the fixed exponent
+_LEVY_SIGMA = _mantegna_sigma(LEVY_BETA)
 
-    ``out`` is a ``(2, *shape)`` float buffer, or ``shape`` to allocate one:
-    u is drawn into ``out[0]`` and v into ``out[1]``, and the steps are
-    returned in ``out[0]``.  The draws and float operations are those of
-    ``rng.normal(0.0, sigma, shape) / np.abs(rng.normal(0.0, 1.0, shape)) ** (1 / beta)``.
+
+def _levy(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Heavy-tailed steps u / |v|^(1/LEVY_BETA), with the stable-matching sigma for u.
+
+    ``out`` is a ``(2, *shape)`` float buffer: u is drawn into ``out[0]``
+    and v into ``out[1]``, and the steps are returned in ``out[0]``.  The
+    draws and float operations are those of ``rng.normal(0.0, sigma, shape)
+    / np.abs(rng.normal(0.0, 1.0, shape)) ** (1 / LEVY_BETA)``.
     """
-    if not 1.0 < beta <= 2.0:
-        raise ValueError("levy beta must lie in (1, 2]")
-    if not isinstance(out, np.ndarray):
-        out = np.empty((2, *out))
     u, v = out
     rng.standard_normal(out=u)
-    u *= _mantegna_sigma(beta)
+    u *= _LEVY_SIGMA
     rng.standard_normal(out=v)
     np.abs(v, out=v)
-    v **= 1.0 / beta
+    v **= 1.0 / LEVY_BETA
     u /= v
     return u
 
@@ -581,7 +581,7 @@ def _lamocs(run: _Run, rng: np.random.Generator, config: SolverConfig):
         gbest = X[int(np.argmin(nests.scalars))]
         np.subtract(X, gbest, out=proposals)
         k = np.count_nonzero(np.not_equal(proposals, 0.0, out=mask))
-        steps = _levy(rng, LEVY_BETA, draws[:, :k])
+        steps = _levy(rng, draws[:, :k])
         targets = rng.integers(0, pop, pop)
         _draw_positions(bank, rng, fresh, n_la)
 
